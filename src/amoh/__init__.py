@@ -28,9 +28,6 @@ from .field_poly import (
     Poly,
     RatFunc,
     eval_bivariate,
-    poly_arith,
-    poly_compose,
-    poly_derivative,
     poly_divmod,
 )
 from .subalgebra import (

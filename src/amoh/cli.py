@@ -108,11 +108,20 @@ class _Parser:
             raise ParseError("unexpected token", pos, expected=(ch,))
         return self._take()
 
-    def _guard(self, value, pos):
+    @staticmethod
+    def _degree(value) -> int:
+        # Degree in z (in y for BiPoly).  Zero counts as degree 0: its
+        # NEG_INF degree has no arithmetic, and a zero operand never
+        # raises the degree of a product or power.
         deg = value.degree if isinstance(value, Poly) else value.y_degree
-        if isinstance(deg, int) and deg > MAX_DEGREE:
+        return deg if isinstance(deg, int) else 0
+
+    @staticmethod
+    def _limit(degree: int, pos):
+        # Products and powers are checked on their exact predicted degree
+        # before they are computed; sums never exceed their operands.
+        if degree > MAX_DEGREE:
             raise ParseError("expression degree is too large", pos)
-        return value
 
     def parse(self):
         value = self.expr()
@@ -134,7 +143,7 @@ class _Parser:
                 return acc
             self._take()
             rhs = self.term()
-            acc = self._guard(acc + rhs if value == "+" else acc - rhs, pos)
+            acc = acc + rhs if value == "+" else acc - rhs
 
     def term(self):
         acc = self.factor()
@@ -143,7 +152,9 @@ class _Parser:
             if kind != "sym" or value != "*":
                 return acc
             self._take()
-            acc = self._guard(acc * self.factor(), pos)
+            rhs = self.factor()
+            self._limit(self._degree(acc) + self._degree(rhs), pos)
+            acc = acc * rhs
 
     def factor(self):
         base = self.atom()
@@ -159,7 +170,8 @@ class _Parser:
         self._take()
         if value > MAX_EXPONENT:
             raise ParseError("exponent is too large", pos)
-        return self._guard(base**value, pos)
+        self._limit(self._degree(base) * value, pos)
+        return base**value
 
     def atom(self):
         kind, value, pos = self._take()
@@ -364,15 +376,16 @@ def _cmd_member(args) -> int:
         except ParseError as exc:
             status = 1
             if args.json:
-                print(json.dumps({"u": text, "error": str(exc)}))
+                answer = json.dumps({"u": text, "error": str(exc)})
             else:
-                print(f"{text}: error: {exc}")
-            continue
-        if args.json:
-            print(json.dumps({"u": text, **_member_obj(res)}))
+                answer = f"{text}: error: {exc}"
         else:
-            verdict = "member" if res.member else "not a member"
-            print(f"{text}: {verdict}")
+            if args.json:
+                answer = json.dumps({"u": text, **_member_obj(res)})
+            else:
+                answer = f"{text}: {'member' if res.member else 'not a member'}"
+        # flushed per answer, so a client can wait for it before writing on
+        print(answer, flush=True)
     return status
 
 
@@ -629,7 +642,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _VALUE_FLAGS = frozenset(
-    ("--f", "--g", "--u", "--a", "--e", "--degree", "--count", "--seed", "--out")
+    ("--f", "--g", "--u", "--a", "--degree", "--count", "--seed", "--out")
 )
 
 
@@ -676,6 +689,9 @@ def main(argv=None) -> int:
     except (InternalInconsistency, InternalLimitExceeded) as exc:
         return fail(2, str(exc))
     except AmohError as exc:
+        return fail(1, str(exc))
+    except OSError as exc:
+        # unreadable stdin or an unwritable --out path
         return fail(1, str(exc))
 
 

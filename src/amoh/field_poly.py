@@ -27,9 +27,6 @@ __all__ = [
     "RatFunc",
     "Poly",
     "BivarExpr",
-    "poly_arith",
-    "poly_compose",
-    "poly_derivative",
     "poly_divmod",
     "eval_bivariate",
 ]
@@ -286,13 +283,6 @@ class Poly:
         for c in reversed(self.coeffs):
             result = result * inner + Poly.constant(c, self.field)
         return result
-
-    def shift_mul(self, k: int) -> "Poly":
-        """Multiply by the k-th power of the variable."""
-        if self.is_zero:
-            return self
-        zero = self.field(0)
-        return Poly._make((zero,) * k + self.coeffs, self.field)
 
     # -- comparison --------------------------------------------------------
 
@@ -606,23 +596,7 @@ class BivarExpr:
         field = f.field
         if g.field is not field:
             raise TypeError("mixed coefficient fields in substitution")
-        fpows = {0: Poly.one(field), 1: f}
-        gpows = {0: Poly.one(field), 1: g}
-
-        def power(cache, base, e):
-            got = cache.get(e)
-            if got is not None:
-                return got
-            k = e
-            while k not in cache:
-                k -= 1
-            acc = cache[k]
-            while k < e:
-                k += 1
-                acc = acc * base
-                cache[k] = acc
-            return acc
-
+        fpows, gpows = {}, {}
         by_i: dict = {}
         for (i, j), c in self.terms.items():
             by_i.setdefault(i, {})[j] = c
@@ -632,25 +606,25 @@ class BivarExpr:
             prev = None
             for j in sorted(row, reverse=True):
                 if prev is not None:
-                    acc = acc * power(gpows, g, prev - j)
+                    acc = acc * _cached_power(gpows, g, prev - j)
                 c = row[j]
                 if not isinstance(c, field):
                     c = field(c)
                 acc = acc + Poly.one(field).scale(c)
                 prev = j
             if prev:
-                acc = acc * power(gpows, g, prev)
+                acc = acc * _cached_power(gpows, g, prev)
             return acc
 
         total = Poly.zero(field)
         prev = None
         for i in sorted(by_i, reverse=True):
             if prev is not None:
-                total = total * power(fpows, f, prev - i)
+                total = total * _cached_power(fpows, f, prev - i)
             total = total + horner_y(by_i[i])
             prev = i
         if prev:
-            total = total * power(fpows, f, prev)
+            total = total * _cached_power(fpows, f, prev)
         return total
 
     def sorted_terms(self):
@@ -680,23 +654,24 @@ class BivarExpr:
 # -- module-level operation surface ---------------------------------------
 
 
-def poly_arith(p: Poly, q: Poly, kind: str) -> Poly:
-    """Ring operation on two polynomials: kind is 'add', 'sub' or 'mul'."""
-    if kind == "add":
-        return p + q
-    if kind == "sub":
-        return p - q
-    if kind == "mul":
-        return p * q
-    raise ValueError(f"unknown operation kind {kind!r}")
-
-
-def poly_compose(p: Poly, inner: Poly) -> Poly:
-    return p.compose(inner)
-
-
-def poly_derivative(p: Poly) -> Poly:
-    return p.derivative()
+def _cached_power(cache: dict, base, e: int):
+    """base**e, memoized in cache (exponent -> power); e >= 1 unless the
+    caller seeded cache[0].  Callers sweep nearby exponents, so a miss
+    fills every exponent from the highest cached one below e, one
+    multiplication each."""
+    cache.setdefault(1, base)
+    got = cache.get(e)
+    if got is not None:
+        return got
+    k = e - 1
+    while k not in cache:
+        k -= 1
+    acc = cache[k]
+    while k < e:
+        k += 1
+        acc = acc * base
+        cache[k] = acc
+    return acc
 
 
 def poly_divmod(p: Poly, q: Poly):

@@ -97,18 +97,6 @@ class BiPoly:
         den = v.den.constant_value()
         return num / den
 
-    def to_terms(self):
-        """Map (x-exponent, y-exponent) -> Fraction, or None if any
-        coefficient has a nontrivial denominator."""
-        out = {}
-        for j, c in enumerate(self.yp.coeffs):
-            if not c.is_polynomial:
-                return None
-            for i, q in enumerate(c.num.coeffs):
-                if q:
-                    out[(i, j)] = q
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
             return NotImplemented

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .decompose import common_parameter
 from .errors import InternalInconsistency
 from .field_poly import BivarExpr, Poly, eval_bivariate
-from .subalgebra import _member_quick
+from .subalgebra import is_member
 
 __all__ = [
     "LineReason",
@@ -57,10 +57,9 @@ class LineVerdict:
 def _criterion_reason(f: Poly, g: Poly, cap=None):
     if f.is_constant and g.is_constant:
         return False, LineReason(ALGEBRA_TRIVIAL)
-    if not _member_quick(f.derivative(), f, g, cap)[0]:
-        return False, LineReason(DERIVATIVE_NOT_MEMBER, which="f")
-    if not _member_quick(g.derivative(), f, g, cap)[0]:
-        return False, LineReason(DERIVATIVE_NOT_MEMBER, which="g")
+    for which, p in (("f", f), ("g", g)):
+        if not is_member(p.derivative(), f, g, cap, certify=False).member:
+            return False, LineReason(DERIVATIVE_NOT_MEMBER, which=which)
     return True, LineReason(CRITERION_HOLDS)
 
 
@@ -80,9 +79,9 @@ def _invert_linear(p: Poly, expr: BivarExpr, f: Poly, g: Poly) -> BivarExpr:
 
 
 def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
-    """Constructive decider: repeatedly subtract a power of the smaller
-    generator to cancel the larger one's leading term, tracking both
-    generators as expressions in the original (f, g).
+    """Constructive decider: repeatedly subtract a power of the lower
+    generator to cancel the higher one's leading term (f's on a tie),
+    tracking both generators as expressions in the original (f, g).
 
     Stops successfully when a generator reaches degree 1 (inverting it
     yields the inverse), and unsuccessfully when neither degree divides
@@ -91,60 +90,34 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
     deg f + deg g steps run.
     """
     field = f.field
-    work_f, expr_f = f, BivarExpr.X()
-    work_g, expr_g = g, BivarExpr.Y()
+    work = [(f, BivarExpr.X()), (g, BivarExpr.Y())]
     while True:
-        fc, gc = work_f.is_constant, work_g.is_constant
-        if fc and gc:
-            return LineVerdict(False, None, LineReason(ALGEBRA_TRIVIAL))
-        if fc or gc:
-            p, expr = (work_g, expr_g) if fc else (work_f, expr_f)
+        for p, expr in work:
             if p.degree == 1:
                 return LineVerdict(
                     True, _invert_linear(p, expr, f, g), LineReason(CRITERION_HOLDS)
                 )
+        (pf, _), (pg, _) = work
+        if pf.is_constant and pg.is_constant:
+            return LineVerdict(False, None, LineReason(ALGEBRA_TRIVIAL))
+        if pf.is_constant or pg.is_constant:
+            survivor = pg if pf.is_constant else pf
             return LineVerdict(
-                False, None, LineReason(UNFAITHFUL_PARAMETER, deg_h=p.degree)
+                False, None, LineReason(UNFAITHFUL_PARAMETER, deg_h=survivor.degree)
             )
-        if work_f.degree == 1:
+        hi = 0 if pf.degree >= pg.degree else 1
+        (top, top_expr), (low, low_expr) = work[hi], work[1 - hi]
+        if top.degree % low.degree:
             return LineVerdict(
-                True, _invert_linear(work_f, expr_f, f, g), LineReason(CRITERION_HOLDS)
+                False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
             )
-        if work_g.degree == 1:
-            return LineVerdict(
-                True, _invert_linear(work_g, expr_g, f, g), LineReason(CRITERION_HOLDS)
-            )
-        df, dg = work_f.degree, work_g.degree
-        if df == dg:
-            # tie: reduce f against g
-            c = work_f.lead / work_g.lead
-            work_f = work_f - work_g.scale(c)
-            expr_f = expr_f - expr_g.scale(c)
-            continue
-        if df > dg:
-            if df % dg:
-                return LineVerdict(
-                    False, None, LineReason(DIVISIBILITY_FAILURE, m=df, n=dg)
-                )
-            power = df // dg
-            small = work_g.scale(field(1) / work_g.lead)
-            sub = small**power
-            sub_expr = expr_g.scale(field(1) / work_g.lead) ** power
-            lead = work_f.lead
-            work_f = work_f - sub.scale(lead)
-            expr_f = expr_f - sub_expr.scale(lead)
-        else:
-            if dg % df:
-                return LineVerdict(
-                    False, None, LineReason(DIVISIBILITY_FAILURE, m=df, n=dg)
-                )
-            power = dg // df
-            small = work_f.scale(field(1) / work_f.lead)
-            sub = small**power
-            sub_expr = expr_f.scale(field(1) / work_f.lead) ** power
-            lead = work_g.lead
-            work_g = work_g - sub.scale(lead)
-            expr_g = expr_g - sub_expr.scale(lead)
+        power = top.degree // low.degree
+        inv = field(1) / low.lead
+        lead = top.lead
+        work[hi] = (
+            top - (low.scale(inv) ** power).scale(lead),
+            top_expr - (low_expr.scale(inv) ** power).scale(lead),
+        )
 
 
 def is_line(f: Poly, g: Poly, cap=None) -> LineVerdict:

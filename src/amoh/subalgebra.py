@@ -8,10 +8,12 @@ Completion interleaves two moves until a fixpoint:
 * interreduction: an element whose degree is a sum of the other element
   degrees is subducted against them and replaced by its remainder, or
   dropped when the remainder is constant;
-* relation resolution: the element degrees are arranged so that each,
-  multiplied by the quotient of consecutive gcds along the arrangement, is
-  a sum of earlier degrees; the matching difference of monic products drops
-  in degree, and a nonconstant irreducible remainder is a new element.
+* relation resolution: taken in work-list order, each element degree,
+  multiplied by the quotient of consecutive gcds along that order, is a
+  sum of earlier degrees (the degree semigroup of k[f, g] is telescopic,
+  and the order in which elements were adjoined already shows it); the
+  matching difference of monic products drops in degree, and a
+  nonconstant irreducible remainder is a new element.
 
 Degree questions reduce to coin-problem dynamic programming.  Every basis
 element carries a provenance expression in the two generators, so
@@ -22,11 +24,10 @@ All public functions are pure; completed bases are cached per (f, g, cap).
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce as _fold
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce as _fold
 
 from .errors import (
     InternalInconsistency,
@@ -35,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     TrivialAlgebra,
 )
-from .field_poly import BivarExpr, Fraction, Poly
+from .field_poly import BivarExpr, Poly, _cached_power
 
 __all__ = [
     "SagbiElement",
@@ -69,18 +70,14 @@ class SagbiBasis:
     elements: tuple
     f: Poly
     g: Poly
-    _scratch: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def degrees(self) -> tuple:
         return tuple(e.degree for e in self.elements)
 
+    @cached_property
     def _reducer(self) -> "_Reducer":
-        red = self._scratch.get("reducer")
-        if red is None:
-            red = _Reducer(list(self.elements), self.f.field)
-            self._scratch["reducer"] = red
-        return red
+        return _Reducer(self.elements, self.f.field)
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,15 @@ def _resolve_cap(f: Poly, g: Poly, cap) -> int:
         return int(cap)
     env = os.environ.get(CAP_ENV_VAR)
     if env:
-        return int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0
+        if value < 1:
+            raise PreconditionViolated(
+                f"{CAP_ENV_VAR} must be a positive integer, got {env!r}"
+            )
+        return value
     m = max(f.degree, 0)
     n = max(g.degree, 0)
     return max(64, 10 * (m + n) * (m + n))
@@ -212,25 +217,6 @@ class _Reducer:
                 deg -= c * d
         return counts
 
-    @staticmethod
-    def _pow(cache: dict, base, e: int):
-        # Subduction sweeps contiguous exponents, so fill the cache
-        # incrementally from the highest power already present.
-        got = cache.get(e)
-        if got is not None:
-            return got
-        if 1 not in cache:
-            cache[1] = base
-        k = e
-        while k not in cache:
-            k -= 1
-        acc = cache[k]
-        while k < e:
-            k += 1
-            acc = acc * base
-            cache[k] = acc
-        return acc
-
     def product(self, counts, certify: bool = True):
         """Monic product of element powers and the matching provenance.
         With certify=False the provenance slot is None; expanding
@@ -239,9 +225,9 @@ class _Reducer:
         prov = BivarExpr.const(1) if certify else None
         for d, c in counts.items():
             it = self.by_degree[d]
-            p = p * self._pow(self.poly_pows.setdefault(d, {}), it.poly, c)
+            p = p * _cached_power(self.poly_pows.setdefault(d, {}), it.poly, c)
             if certify:
-                prov = prov * self._pow(
+                prov = prov * _cached_power(
                     self.prov_pows.setdefault(d, {}), it.provenance, c
                 )
         return p, prov
@@ -268,23 +254,22 @@ class _Reducer:
         return r, consumed
 
 
-def subduct(u: Poly, basis: SagbiBasis):
+def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
     """Reduce u against the basis.  Returns (remainder, consumed) with
     u = eval_bivariate(consumed, f, g) + remainder exactly; each step
-    strictly decreases the degree, so this always terminates."""
+    strictly decreases the degree, so this always terminates.  With
+    certify=False consumed is not built and comes back as None."""
     if u.field is not basis.f.field:
         raise TypeError("polynomial is over a different field than the basis")
-    return basis._reducer().reduce(u)
+    return basis._reducer.reduce(u, certify)
 
 
-def _insert(work, p: Poly, prov: BivarExpr, scalar_field, budget: _Budget) -> bool:
-    """Subduct p against the current work list and append the remainder as
-    a fresh monic element.  Constant remainders are absorbed (False)."""
-    r, consumed = _Reducer(work, scalar_field, budget).reduce(p)
+def _adjoin(work, r: Poly, prov: BivarExpr) -> bool:
+    """Append the remainder r, with eval(prov) == r, as a fresh monic
+    element.  Constant remainders are absorbed (False)."""
     if r.is_constant:
         return False
-    inv = scalar_field(1) / r.lead
-    work.append(SagbiElement(r.monic(), (prov - consumed).scale(inv), r.degree))
+    work.append(SagbiElement(r.monic(), prov.scale(r.field(1) / r.lead), r.degree))
     return True
 
 
@@ -302,49 +287,9 @@ def _interreduce(work, scalar_field, budget: _Budget):
             if r == el.poly:
                 continue
             work.remove(el)
-            if not r.is_constant:
-                inv = scalar_field(1) / r.lead
-                work.append(
-                    SagbiElement(r.monic(), (el.provenance - consumed).scale(inv), r.degree)
-                )
+            _adjoin(work, r, el.provenance - consumed)
             changed = True
             break
-
-
-def _telescopic_ok(arrangement, budget: _Budget) -> bool:
-    """Whether each degree times its gcd-chain quotient is a sum of the
-    degrees before it in the arrangement."""
-    running = arrangement[0]
-    prefix = [arrangement[0]]
-    for d in arrangement[1:]:
-        budget.tick("arrangement check")
-        nxt = math.gcd(running, d)
-        q = running // nxt
-        if q == 1:
-            # would need d itself over the prefix; impossible after
-            # interreduction
-            return False
-        if not _reachable(prefix, q * d)[q * d]:
-            return False
-        prefix.append(d)
-        running = nxt
-    return True
-
-
-def _find_arrangement(degrees, budget: _Budget):
-    preferred = (
-        tuple(degrees),
-        tuple(sorted(degrees, reverse=True)),
-        tuple(sorted(degrees)),
-    )
-    seen = set()
-    for cand in itertools.chain(preferred, itertools.permutations(degrees)):
-        if cand in seen:
-            continue
-        seen.add(cand)
-        if _telescopic_ok(cand, budget):
-            return cand
-    return None
 
 
 def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
@@ -355,44 +300,34 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     work = []
     for p, prov in ((g, BivarExpr.Y()), (f, BivarExpr.X())):
         if not p.is_constant:
-            _insert(work, p, prov, scalar_field, budget)
+            r, consumed = _Reducer(work, scalar_field, budget).reduce(p)
+            _adjoin(work, r, prov - consumed)
     if not work:
         raise TrivialAlgebra("both generators are constant")
 
     while True:
         _interreduce(work, scalar_field, budget)
-        arrangement = _find_arrangement([e.degree for e in work], budget)
-        if arrangement is None:
-            raise InternalLimitExceeded(
-                "no workable arrangement of basis degrees; this should be "
-                "unreachable for subalgebras generated by two polynomials"
-            )
-        by_degree = {e.degree: e for e in work}
         full = _Reducer(work, scalar_field, budget)
-        adjoined = False
-        running = arrangement[0]
-        for j in range(1, len(arrangement)):
+        running = work[0].degree
+        for j in range(1, len(work)):
             budget.tick("relation")
-            d = arrangement[j]
-            nxt = math.gcd(running, d)
+            el = work[j]
+            nxt = math.gcd(running, el.degree)
             q = running // nxt
             running = nxt
-            prefix = _Reducer(
-                [by_degree[x] for x in arrangement[:j]], scalar_field, budget
-            )
-            prod, prov = prefix.product(prefix.factor(q * d))
-            el = by_degree[d]
-            tau = el.poly**q - prod
-            tau_prov = el.provenance**q - prov
-            r, consumed = full.reduce(tau)
-            if not r.is_constant:
-                inv = scalar_field(1) / r.lead
-                work.append(
-                    SagbiElement(r.monic(), (tau_prov - consumed).scale(inv), r.degree)
+            prefix = _Reducer(work[:j], scalar_field, budget)
+            counts = prefix.factor(q * el.degree)
+            if counts is None:
+                raise InternalInconsistency(
+                    "basis degrees are not telescopic in work-list order; "
+                    "this should be unreachable for two generators"
                 )
-                adjoined = True
+            prod, prov = prefix.product(counts)
+            r, consumed = full.reduce(el.poly**q - prod)
+            if _adjoin(work, r, el.provenance**q - prov - consumed):
                 break
-        if not adjoined:
+        else:
+            # a round without a new element checked every position
             break
 
     elements = tuple(sorted(work, key=lambda e: e.degree))
@@ -416,32 +351,23 @@ def _sagbi_cached(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     return _complete(f, g, cap)
 
 
-def is_member(u: Poly, f: Poly, g: Poly, cap=None) -> MembershipResult:
+def is_member(
+    u: Poly, f: Poly, g: Poly, cap=None, certify: bool = True
+) -> MembershipResult:
     """Decide u ∈ k[f, g], with a certificate on success and the degree of
-    the irreducible remainder on failure."""
+    the irreducible remainder on failure.  certify=False gives the same
+    verdict and obstruction degree without building the certificate
+    (None), which is much cheaper on large bases."""
     if f.is_constant and g.is_constant:
         raise TrivialAlgebra("membership in k[constants] is not meaningful here")
     basis = sagbi_basis(f, g, cap)
-    r, consumed = subduct(u, basis)
-    if r.is_constant:
-        c = r.constant_value()
-        cert = consumed + BivarExpr.const(c) if c else consumed
-        return MembershipResult(True, cert, None)
-    return MembershipResult(False, None, r.degree)
-
-
-def _member_quick(u: Poly, f: Poly, g: Poly, cap=None):
-    """Membership decision without the certificate: (member, obstruction
-    degree).  Same verdict as is_member at a fraction of the cost."""
-    if u.field is not f.field:
-        raise TypeError("polynomial is over a different field than the basis")
-    if f.is_constant and g.is_constant:
-        raise TrivialAlgebra("membership in k[constants] is not meaningful here")
-    basis = sagbi_basis(f, g, cap)
-    r, _ = basis._reducer().reduce(u, certify=False)
-    if r.is_constant:
-        return True, None
-    return False, r.degree
+    r, consumed = subduct(u, basis, certify)
+    if not r.is_constant:
+        return MembershipResult(False, None, r.degree)
+    c = r.constant_value()
+    if certify and c:
+        consumed = consumed + BivarExpr.const(c)
+    return MembershipResult(True, consumed, None)
 
 
 def _echelon_insert(ech, p: Poly, combo: BivarExpr):
@@ -491,14 +417,8 @@ def _echelon_span(f: Poly, g: Poly, bound: int):
     ech = {}
     fpows = {0: Poly.one(field)}
     gpows = {0: Poly.one(field)}
-
-    def power(cache, base, e):
-        if e not in cache:
-            cache[e] = power(cache, base, e - 1) * base
-        return cache[e]
-
     for _, i, j in pairs:
-        p = power(fpows, f, i) * power(gpows, g, j)
+        p = _cached_power(fpows, f, i) * _cached_power(gpows, g, j)
         _echelon_insert(ech, p, BivarExpr.monomial(i, j))
     return ech
 

@@ -61,7 +61,7 @@ class Prop22Report:
 def _realize_degree(basis: SagbiBasis, target: int) -> BivarExpr:
     """Provenance of a monic element of k[f, g] with the given degree, as
     a product of basis elements (greedy factorization)."""
-    red = basis._reducer()
+    red = basis._reducer
     counts = red.factor(target)
     if counts is None:
         raise InternalInconsistency(f"degree {target} not realized by the basis")

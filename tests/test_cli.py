@@ -3,8 +3,10 @@
 import io
 import json
 import os
+import select
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,15 @@ class TestParsePoly:
         with pytest.raises(ParseError) as info:
             parse_poly("z +")
         assert "position 3" in str(info.value)
+
+    def test_degree_predicted_before_expansion(self):
+        for text in ("(z^4096)^4096", "z^6000*z^6000"):
+            start = time.perf_counter()
+            with pytest.raises(ParseError):
+                parse_poly(text)
+            assert time.perf_counter() - start < 1.0
+        # a zero operand never raises the degree
+        assert parse_poly("(z - z)^4096 * z^4096 * z^4096").is_zero
 
 
 class TestRendering:
@@ -216,6 +227,27 @@ class TestBatchMember:
         assert lines[0]["u"] == "z^5" and lines[0]["member"] is True
         assert lines[1]["u"] == "z" and lines[1]["member"] is False
 
+    def test_answer_arrives_before_stdin_closes(self):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "amoh.cli", "member", "--u", "-", "--f", "z^3",
+             "--g", "z^6 + z^2", "--json"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            env=env,
+        )
+        try:
+            proc.stdin.write(b"z^2\n")
+            proc.stdin.flush()
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            assert ready, "no answer while stdin is still open"
+            assert json.loads(proc.stdout.readline())["member"] is True
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=30)
+        assert proc.returncode == 0
+
     def test_bad_line_reported_and_flagged(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("z^2\n2z\n"))
         status, out, _ = run_cli(
@@ -308,6 +340,20 @@ class TestEnvironmentCap:
         )
         assert proc.returncode == 2
         assert "cap" in proc.stderr.lower() or "cap" in proc.stdout.lower()
+
+    def test_malformed_cap_is_a_domain_error(self):
+        for value in ("abc", "0", "-3"):
+            env = dict(os.environ, AMOH_ITER_CAP=value)
+            proc = subprocess.run(
+                [sys.executable, "-m", "amoh.cli", "sagbi", "--f", "z^2", "--g", "z^3",
+                 "--json"],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            assert proc.returncode == 1
+            assert "Traceback" not in proc.stderr
+            assert "AMOH_ITER_CAP" in json.loads(proc.stdout)["error"]
 
     def test_console_entry_point_runs(self):
         proc = subprocess.run(

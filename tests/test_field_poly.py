@@ -197,3 +197,15 @@ class TestBivarExpr:
         for i, j, c in expr.sorted_terms():
             by_hand = by_hand + (f**i * g**j).scale(c)
         assert direct == by_hand
+
+
+def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
+    import amoh
+
+    for info in pkgutil.iter_modules(amoh.__path__):
+        mod = importlib.import_module(f"amoh.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"amoh.{info.name}.{name}"

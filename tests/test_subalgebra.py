@@ -149,12 +149,20 @@ class TestMembership:
         assert res5.member
         assert res5.certificate == BivarExpr.monomial(1, 1) - BivarExpr.monomial(3, 0)
 
-    def test_example_non_member(self, example_curve):
+    def test_example_non_member(self, example_curve, corpus):
         f, g = example_curve
         res = is_member(Z, f, g)
         assert not res.member
         assert res.certificate is None
         assert res.obstruction_degree == 1
+        # without the certificate: same verdict and obstruction degree
+        for _, cf, cg in corpus[::8]:
+            for u in (cf.derivative(), cg.derivative(), Z, Z**2 + cf):
+                full = is_member(u, cf, cg)
+                quick = is_member(u, cf, cg, certify=False)
+                assert quick.member == full.member
+                assert quick.obstruction_degree == full.obstruction_degree
+                assert quick.certificate is None
 
     def test_constant_query(self, example_curve):
         f, g = example_curve
