@@ -15,28 +15,30 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import string
 import sys
 from fractions import Fraction
 
-from .decompose import common_parameter
-from .errors import (
+from ..decompose import common_parameter
+from ..errors import (
     AmohError,
     InternalInconsistency,
     InternalLimitExceeded,
     NotInSemigroup,
     ParseError,
 )
-from .field_poly import BivarExpr, Poly
-from .jacobian import BiPoly, prop21_probe
-from .line import is_line, random_line_curve
-from .subalgebra import delta_sequence, is_member, sagbi_basis, semigroup_represent
-from .theorems import check_prop22, check_strong_am
+from ..field_poly import BivarExpr, Poly
+from ..jacobian import BiPoly, prop21_probe
+from ..line import is_line, random_line_curve
+from ..subalgebra import delta_sequence, is_member, sagbi_basis, semigroup_represent
+from ..theorems import check_prop22, check_strong_am
 
 __all__ = ["parse_poly", "render_poly", "main", "run"]
 
 MAX_EXPONENT = 4096
 MAX_DEGREE = 10_000
+MAX_COEFF_BITS = 16_384
 MAX_PAREN_DEPTH = 200
 
 
@@ -61,7 +63,12 @@ def _tokenize(text: str):
             j = i
             while j < len(text) and text[j] in _DIGITS:
                 j += 1
-            out.append(("num", int(text[i:j]), i))
+            try:
+                value = int(text[i:j])
+            except ValueError:
+                # more digits than int() converts (sys.get_int_max_str_digits)
+                raise ParseError("number is too large", i) from None
+            out.append(("num", value, i))
             i = j
             continue
         if ch in _LETTERS:
@@ -109,19 +116,39 @@ class _Parser:
         return self._take()
 
     @staticmethod
-    def _degree(value) -> int:
-        # Degree in z (in y for BiPoly).  Zero counts as degree 0: its
-        # NEG_INF degree has no arithmetic, and a zero operand never
-        # raises the degree of a product or power.
-        deg = value.degree if isinstance(value, Poly) else value.y_degree
-        return deg if isinstance(deg, int) else 0
+    def _size(value):
+        """(degree, x-degree, numerator bits, denominator bits) of a value.
+
+        The degree is in z (in y for BiPoly); zero counts as degree 0.
+        Write the value as integer numerators over one common denominator
+        D: the bits are log2 of the numerators' absolute sum and log2 D.
+        Each entry of a product is at most the sum of the factors'
+        entries, and each entry of a power at most the exponent times the
+        base's."""
+        if isinstance(value, Poly):
+            deg, xdeg, polys = value.degree, 0, [value]
+        else:
+            polys = [c.num for c in value.yp.coeffs]
+            deg, xdeg = value.y_degree, max((p.degree for p in polys if p), default=0)
+        den = math.lcm(*(p.den for p in polys))
+        norm = sum(sum(map(abs, p.nums)) * (den // p.den) for p in polys)
+        return (
+            deg if isinstance(deg, int) else 0,
+            xdeg,
+            math.log2(norm) if norm else 0.0,
+            math.log2(den),
+        )
 
     @staticmethod
-    def _limit(degree: int, pos):
-        # Products and powers are checked on their exact predicted degree
-        # before they are computed; sums never exceed their operands.
-        if degree > MAX_DEGREE:
+    def _limit(size, pos):
+        # Products and powers are checked on their predicted size before
+        # they are computed.  A sum is no larger than its operands put
+        # together, so the length of the input bounds it.
+        deg, xdeg, num_bits, den_bits = size
+        if max(deg, xdeg) > MAX_DEGREE:
             raise ParseError("expression degree is too large", pos)
+        if max(num_bits, den_bits) > MAX_COEFF_BITS:
+            raise ParseError("expression coefficients are too large", pos)
 
     def parse(self):
         value = self.expr()
@@ -153,7 +180,7 @@ class _Parser:
                 return acc
             self._take()
             rhs = self.factor()
-            self._limit(self._degree(acc) + self._degree(rhs), pos)
+            self._limit([a + b for a, b in zip(self._size(acc), self._size(rhs))], pos)
             acc = acc * rhs
 
     def factor(self):
@@ -170,7 +197,7 @@ class _Parser:
         self._take()
         if value > MAX_EXPONENT:
             raise ParseError("exponent is too large", pos)
-        self._limit(self._degree(base) * value, pos)
+        self._limit([v * value for v in self._size(base)], pos)
         return base**value
 
     def atom(self):
@@ -697,7 +724,3 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

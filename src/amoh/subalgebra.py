@@ -469,6 +469,29 @@ def delta_sequence(f: Poly, g: Poly, cap=None) -> DeltaSequence:
     return DeltaSequence(tuple(deltas), tuple(ds), len(deltas) - 1)
 
 
+def _conductor(delta: DeltaSequence) -> int:
+    """Conductor of the semigroup the deltas generate, in units of the
+    final gcd e: every multiple of e from it on is in the semigroup.  The
+    closed form for a telescopic sequence (the conductor of a plane-branch
+    semigroup), scaled by e:
+    sum((d[i-1] / d[i] - 1) * deltas[i] for i >= 1) - deltas[0] + e,
+    with d[0] = deltas[0] and d[i] = ds[i-1]."""
+    chain = (delta.deltas[0], *delta.ds)
+    return (
+        sum((chain[i - 1] // chain[i] - 1) * delta.deltas[i] for i in range(1, len(chain)))
+        - delta.deltas[0]
+        + delta.ds[-1]
+    )
+
+
+def _in_semigroup(target: int, delta: DeltaSequence) -> bool:
+    """Whether target is a sum of deltas.  The reachability table stops at
+    the conductor; above it membership is divisibility by the final gcd."""
+    if target % delta.ds[-1]:
+        return False
+    return target >= _conductor(delta) or bool(_reachable(delta.deltas, target)[target])
+
+
 def semigroup_represent(target: int, delta: DeltaSequence) -> SemigroupRepr:
     """Coordinates alphas with sum(alphas[i] * deltas[i]) == target.
 
@@ -482,7 +505,7 @@ def semigroup_represent(target: int, delta: DeltaSequence) -> SemigroupRepr:
     if not isinstance(target, int) or target < 0:
         raise PreconditionViolated("represented degree must be a nonnegative integer")
     deltas, ds, h = delta.deltas, delta.ds, delta.h
-    dp_says = bool(_reachable(deltas, target)[target])
+    dp_says = _in_semigroup(target, delta)
 
     def fail():
         if dp_says:
@@ -508,7 +531,9 @@ def semigroup_represent(target: int, delta: DeltaSequence) -> SemigroupRepr:
         if remaining < 0:
             fail()
         tail.append(alpha)
-    for head0 in range(remaining // deltas[0], -1, -1):
+    # rest mod deltas[1] repeats within deltas[1] steps of head0
+    top = remaining // deltas[0]
+    for head0 in range(top, max(top - deltas[1], -1), -1):
         rest = remaining - head0 * deltas[0]
         if rest % deltas[1] == 0:
             alphas = (head0, rest // deltas[1], *reversed(tail))

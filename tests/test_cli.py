@@ -91,6 +91,30 @@ class TestParsePoly:
         # a zero operand never raises the degree
         assert parse_poly("(z - z)^4096 * z^4096 * z^4096").is_zero
 
+    def test_coefficient_size_predicted_before_expansion(self, capsys):
+        for text in ("(2^4096)^4096", "(1/3)^4096*(1/3)^4096*(1/3)^4096*(1/3)^4096*3^4096"):
+            start = time.perf_counter()
+            status, out, _ = run_cli(capsys, "sagbi", "--f", text, "--g", "z", "--json")
+            assert time.perf_counter() - start < 1.0
+            assert status == 1
+            assert "coefficients are too large" in json.loads(out)["error"]
+        assert parse_poly("(2^4096)^4").nums == (2**16384,)
+
+    def test_overlong_literal_rejected(self, capsys):
+        status, out, _ = run_cli(capsys, "sagbi", "--f", "1" * 5000 + "*z", "--g", "z", "--json")
+        assert status == 1
+        assert "number is too large" in json.loads(out)["error"]
+
+    def test_plane_x_degree_predicted_before_expansion(self, capsys):
+        for text in ("(x^4096)^16", "(x^4096)^4096", "x^4000*x^4000*x^4000*y"):
+            start = time.perf_counter()
+            status, out, _ = run_cli(
+                capsys, "jacobian-probe", "--f", text, "--g", "y", "--json"
+            )
+            assert time.perf_counter() - start < 1.0
+            assert status == 1
+            assert "degree is too large" in json.loads(out)["error"]
+
 
 class TestRendering:
     def test_examples(self):
@@ -201,6 +225,19 @@ class TestExitCodes:
             run_cli(capsys, "represent", "--degree", "1", "--f", "z^2", "--g", "z^3")[0]
             == 0
         )
+
+    def test_huge_represent_degree_answers_at_once(self, capsys):
+        for f, g, degree, answer in (
+            ("z^2", "z^3", 10**11, {"representable": True, "alphas": [33333333332, 2]}),
+            ("z^2", "z^4", 10**11 + 1, {"representable": False}),
+        ):
+            start = time.perf_counter()
+            status, out, _ = run_cli(
+                capsys, "represent", "--degree", str(degree), "--f", f, "--g", g, "--json"
+            )
+            assert time.perf_counter() - start < 1.0
+            assert status == 0
+            assert answer.items() <= json.loads(out).items()
 
     def test_usage_error_is_one(self, capsys):
         assert main(["no-such-command"]) == 1
@@ -354,6 +391,15 @@ class TestEnvironmentCap:
             assert proc.returncode == 1
             assert "Traceback" not in proc.stderr
             assert "AMOH_ITER_CAP" in json.loads(proc.stdout)["error"]
+
+    def test_module_runs_without_warnings(self):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "amoh.cli", "sagbi", "--f", "z^2", "--g", "z^3"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
 
     def test_console_entry_point_runs(self):
         proc = subprocess.run(

@@ -1,5 +1,6 @@
 """Exact polynomial, rational function, and two-variable expression layer."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from amoh import (
     eval_bivariate,
     poly_divmod,
 )
+from amoh.field_poly import _KRONECKER_MIN_TERMS, _kronecker_mul, _schoolbook_mul
 
 from conftest import Z, const
 
@@ -111,6 +113,163 @@ class TestPolyProperties:
     @given(qpoly(), qpoly())
     def test_derivative_is_leibniz(self, a, b):
         assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
+
+
+# -- a plain Fraction reference for the integer core -----------------------
+
+
+def _strip(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _strip(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _strip(out)
+
+
+def _ref_divmod(a, b):
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for top in range(len(a) - 1, len(b) - 2, -1):
+        q = rem[top] / b[-1]
+        quot[top - len(b) + 1] = q
+        for k, y in enumerate(b):
+            rem[top - len(b) + 1 + k] -= q * y
+    return _strip(quot), _strip(rem)
+
+
+def _ref_compose(a, b):
+    out = []
+    for c in reversed(a):
+        out = _ref_add(_ref_mul(out, b), [c])
+    return out
+
+
+# coefficients: zero, small rationals, and signed numerators and
+# denominators of a few hundred bits
+_COEFF = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7),
+    st.builds(Fraction, st.integers(-(2**300), 2**300), st.integers(1, 2**200)),
+)
+
+
+def _coeff_lists(max_size):
+    return st.lists(_COEFF, max_size=max_size).map(_strip)
+
+
+class TestIntegerCore:
+    """The integer numerators over one denominator against plain Fraction
+    arithmetic."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(_coeff_lists(3 * _KRONECKER_MIN_TERMS), _coeff_lists(3 * _KRONECKER_MIN_TERMS))
+    def test_mul_add_sub(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        assert list((pa * pb).coeffs) == _ref_mul(a, b)
+        assert list((pa + pb).coeffs) == _ref_add(a, b)
+        assert list((pa - pb).coeffs) == _ref_add(a, [-c for c in b])
+        assert list((-pa).coeffs) == [-c for c in a]
+        assert list((pa * pa).coeffs) == _ref_mul(a, a)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 3 * _KRONECKER_MIN_TERMS),
+        st.integers(1, 3 * _KRONECKER_MIN_TERMS),
+        st.integers(1, 400),
+        st.randoms(use_true_random=False),
+    )
+    def test_both_products_on_both_sides_of_the_threshold(self, la, lb, bits, rng):
+        def draw(n):
+            return [rng.choice((0, 1, -1)) * rng.getrandbits(bits) for _ in range(n)]
+
+        a, b = draw(la), draw(lb)
+        a[-1] = b[-1] = -(2**bits) + 1
+        want = [n.numerator for n in _ref_mul([Fraction(x) for x in a], [Fraction(x) for x in b])]
+        assert _kronecker_mul(a, b) == want
+        assert _schoolbook_mul(a, b, 0) == want
+        assert _kronecker_mul(a, a) == _schoolbook_mul(a, a, 0)
+
+    def test_kronecker_slots_hold_the_largest_coefficients(self):
+        # full magnitudes of one sign put every product coefficient at its bound
+        for bits in range(1, 40):
+            m = 2**bits - 1
+            for n in (1, 2, 3, 12, 31):
+                a = [-m] * n
+                want = [m * m * min(k + 1, n, 2 * n - 1 - k) for k in range(2 * n - 1)]
+                assert _kronecker_mul(a, a) == want
+                assert _kronecker_mul(a, [m] * n) == [-x for x in want]
+
+    @settings(deadline=None, max_examples=80)
+    @given(_coeff_lists(2 * _KRONECKER_MIN_TERMS), _coeff_lists(_KRONECKER_MIN_TERMS))
+    def test_divmod(self, a, b):
+        if not b:
+            return
+        pa, pb = Poly(a), Poly(b)
+        q, r = divmod(pa, pb)
+        assert pa == q * pb + r
+        assert r.degree < pb.degree
+        assert (list(q.coeffs), list(r.coeffs)) == _ref_divmod(a, b)
+
+    @settings(deadline=None, max_examples=40)
+    @given(_coeff_lists(6), _coeff_lists(4))
+    def test_compose_derivative_monic(self, a, b):
+        pa, pb = Poly(a), Poly(b)
+        assert list(pa.compose(pb).coeffs) == _ref_compose(a, b)
+        assert list(pa.derivative().coeffs) == _strip(c * i for i, c in enumerate(a))[1:]
+        if a:
+            assert list(pa.monic().coeffs) == [c / a[-1] for c in a]
+
+    @settings(deadline=None, max_examples=60)
+    @given(_coeff_lists(8), _coeff_lists(8), st.integers(1, 2**64))
+    def test_canonical_form_eq_hash_and_coeffs(self, a, b, k):
+        got = Poly(a) * Poly(b)
+        built = Poly(_ref_mul(a, b))
+        assert got == built and hash(got) == hash(built)
+        # the same rationals written over a larger denominator
+        scaled = Poly([Fraction(c.numerator * k, c.denominator * k) for c in a])
+        assert scaled == Poly(a) and hash(scaled) == hash(Poly(a))
+        assert type(got.coeffs) is tuple
+        assert all(type(c) is Fraction for c in got.coeffs)
+        assert got.den > 0
+        assert math.gcd(got.den, *got.nums) == 1
+
+    def test_zero_is_canonical(self):
+        p = Poly([Fraction(1, 3)])
+        assert p - p == Poly.zero(Fraction)
+        assert (p - p).den == 1
+        assert Poly.zero(Fraction).coeffs == ()
+
+
+class TestPowers:
+    @settings(deadline=None, max_examples=20)
+    @given(_coeff_lists(4))
+    def test_poly_pow_matches_repeated_product(self, a):
+        p = Poly(a)
+        acc = Poly.one(Fraction)
+        for n in range(10):
+            assert p**n == acc
+            acc = acc * p
+
+    def test_bivar_pow_matches_repeated_product(self):
+        e = BivarExpr.X() - BivarExpr.monomial(0, 2, Fraction(1, 3)) + BivarExpr.const(2)
+        acc = BivarExpr.const(1)
+        for n in range(10):
+            assert e**n == acc
+            acc = acc * e
 
 
 class TestRatFunc:

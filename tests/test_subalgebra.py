@@ -7,6 +7,7 @@ semigroup representations are compared against exhaustive enumeration.
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -320,6 +321,34 @@ class TestSemigroupRepresent:
             assert len({c[2:] for c in candidates}) == 1
             assert got.alphas == max(candidates)
             assert sum(a * d for a, d in zip(got.alphas, seq.deltas)) == target
+
+    def test_conductor_bound_agrees_with_full_table(self):
+        curves = (
+            (Z**3, Z**6 + Z**2),
+            (Z**2, Z**3),
+            (Z**4, Z**6 + Z),
+            (Z**12 + Z, Z**18 + Z**2),
+            (Z**4, Z**10),
+            (Z**5, Z**7),
+        )
+        for f, g in curves:
+            seq = delta_sequence(f, g)
+            members = set(_semigroup_table(seq.deltas, 200))
+            for target in range(201):
+                try:
+                    semigroup_represent(target, seq)
+                    found = True
+                except NotInSemigroup:
+                    found = False
+                assert found == (target in members), (seq.deltas, target)
+
+    def test_huge_target_needs_no_table(self):
+        start = time.perf_counter()
+        rep = semigroup_represent(10**11, delta_sequence(Z**2, Z**3))
+        assert rep.alphas == (33333333332, 2)
+        with pytest.raises(NotInSemigroup):
+            semigroup_represent(10**11 + 1, delta_sequence(Z**4, Z**10))
+        assert time.perf_counter() - start < 1.0
 
     def test_constraint_bounds_hold(self, corpus):
         for kind, f, g in corpus[:30]:
