@@ -27,6 +27,7 @@ from ..errors import (
     InternalLimitExceeded,
     NotInSemigroup,
     ParseError,
+    PreconditionViolated,
 )
 from ..field_poly import BivarExpr, Poly
 from ..jacobian import BiPoly, prop21_probe
@@ -584,7 +585,7 @@ def corpus_pairs(count: int, seed: int):
     obstruction curves f = z^3 + a*z, g = f^2 + z^2 + c.  Yields
     (kind, f, g) with kind in line | composed_square | composed_cube |
     pattern."""
-    n_lines = max(1, (count * 11 + 19) // 20)
+    n_lines = (count * 11 + 19) // 20
     n_comp = count // 8
     n_pattern = max(0, count - n_lines - 2 * n_comp)
     lines = [
@@ -611,6 +612,8 @@ def corpus_pairs(count: int, seed: int):
 
 
 def _cmd_gen_corpus(args) -> int:
+    if args.count < 0:
+        raise PreconditionViolated(f"--count must be nonnegative, got {args.count}")
     sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
     try:
         for kind, f, g in corpus_pairs(args.count, args.seed):
@@ -664,7 +667,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=200, help="number of curves")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--out", default="-", help="output path, - for stdout")
-    p.set_defaults(handler=_cmd_gen_corpus)
+    # the corpus is JSON lines, so its errors are JSON objects too
+    p.set_defaults(handler=_cmd_gen_corpus, json=True)
     return top
 
 

@@ -118,7 +118,7 @@ def jacobian_det(f: BiPoly, g: BiPoly) -> BiPoly:
     return f.partial_x() * g.partial_y() - f.partial_y() * g.partial_x()
 
 
-def prop21_probe(f: BiPoly, g: BiPoly, cap=None) -> Prop21Report:
+def prop21_probe(f: BiPoly, g: BiPoly) -> Prop21Report:
     """Whether the Jacobian determinant is a nonzero scalar, plus the
     memberships of f_y and g_y in k(x)[f, g].
 
@@ -131,8 +131,8 @@ def prop21_probe(f: BiPoly, g: BiPoly, cap=None) -> Prop21Report:
     if f.yp.is_constant and g.yp.is_constant:
         trivial = MembershipResult(True, BivarExpr.zero(), None)
         return Prop21Report(det_scalar, trivial, trivial)
-    fy = is_member(f.partial_y().yp, f.yp, g.yp, cap)
-    gy = is_member(g.partial_y().yp, f.yp, g.yp, cap)
+    fy = is_member(f.partial_y().yp, f.yp, g.yp)
+    gy = is_member(g.partial_y().yp, f.yp, g.yp)
     return Prop21Report(det_scalar, fy, gy)
 
 

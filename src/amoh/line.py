@@ -11,13 +11,13 @@ and aborts.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .decompose import common_parameter
 from .errors import InternalInconsistency
 from .field_poly import BivarExpr, Poly, eval_bivariate
-from .subalgebra import is_member
+from .subalgebra import is_member, sagbi_basis
 
 __all__ = [
     "LineReason",
@@ -54,19 +54,19 @@ class LineVerdict:
     reason: LineReason
 
 
-def _criterion_reason(f: Poly, g: Poly, cap=None):
+def _criterion_reason(f: Poly, g: Poly):
     if f.is_constant and g.is_constant:
         return False, LineReason(ALGEBRA_TRIVIAL)
     for which, p in (("f", f), ("g", g)):
-        if not is_member(p.derivative(), f, g, cap, certify=False).member:
+        if not is_member(p.derivative(), f, g, certify=False).member:
             return False, LineReason(DERIVATIVE_NOT_MEMBER, which=which)
     return True, LineReason(CRITERION_HOLDS)
 
 
-def criterion_check(f: Poly, g: Poly, cap=None) -> bool:
+def criterion_check(f: Poly, g: Poly) -> bool:
     """Derivative criterion: true iff the pair generates a nontrivial
     algebra and both derivatives are members of it."""
-    return _criterion_reason(f, g, cap)[0]
+    return _criterion_reason(f, g)[0]
 
 
 def _invert_linear(p: Poly, expr: BivarExpr, f: Poly, g: Poly) -> BivarExpr:
@@ -120,23 +120,24 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
         )
 
 
-def is_line(f: Poly, g: Poly, cap=None) -> LineVerdict:
+def is_line(f: Poly, g: Poly) -> LineVerdict:
     """Full decision with cross-validation.
 
-    An unfaithful parameter (maximal common inner factor of degree above 1)
-    is an immediate no.  Otherwise both the elimination loop and the
-    derivative criterion run and must agree; the elimination verdict, which
-    carries the inverse, is returned.
+    An unfaithful parameter (maximal common inner factor h of degree above
+    1) is an immediate no.  deg h is the gcd of the basis degrees: by
+    Lüroth Frac(k[f, g]) = k(h), whose nonzero elements have degrees
+    (orders at infinity) filling (deg h)*Z, each a difference of two
+    degrees in k[f, g] ⊂ k[h].  Otherwise both the elimination loop and
+    the derivative criterion run and must agree; the elimination verdict,
+    which carries the inverse, is returned.
     """
     if f.is_constant and g.is_constant:
         return LineVerdict(False, None, LineReason(ALGEBRA_TRIVIAL))
-    dec = common_parameter(f, g)
-    if dec.h.degree > 1:
-        return LineVerdict(
-            False, None, LineReason(UNFAITHFUL_PARAMETER, deg_h=dec.h.degree)
-        )
+    deg_h = math.gcd(*sagbi_basis(f, g).degrees)
+    if deg_h > 1:
+        return LineVerdict(False, None, LineReason(UNFAITHFUL_PARAMETER, deg_h=deg_h))
     verdict = reduce_to_line(f, g)
-    if verdict.is_line != criterion_check(f, g, cap):
+    if verdict.is_line != criterion_check(f, g):
         raise InternalInconsistency(
             "elimination and derivative criterion disagree; this is a bug"
         )

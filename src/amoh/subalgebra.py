@@ -15,9 +15,9 @@ Completion interleaves two moves until a fixpoint:
   matching difference of monic products drops in degree, and a
   nonconstant irreducible remainder is a new element.
 
-Degree questions reduce to coin-problem dynamic programming.  Every basis
-element carries a provenance expression in the two generators, so
-membership tests return certificates that re-evaluate exactly.
+Degree questions reduce to coin-problem dynamic programming.  Completion
+and subduction compute polynomials only and record each step as a recipe;
+`_expand` builds the expression in (f, g) only when one is read.
 
 All public functions are pure; completed bases are cached per (f, g, cap).
 """
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce as _fold
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .errors import (
     InternalInconsistency,
@@ -57,12 +57,31 @@ CAP_ENV_VAR = "AMOH_ITER_CAP"
 
 @dataclass(frozen=True)
 class SagbiElement:
-    """One basis element: a monic polynomial, how to build it from (f, g),
-    and its degree."""
+    """One basis element: a monic polynomial, its recipe and its degree.
+    The provenance (it evaluates to poly) and its powers are built on read."""
 
     poly: Poly
-    provenance: BivarExpr
+    recipe: tuple = field(repr=False, compare=False)
     degree: int
+    _pows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def provenance(self) -> BivarExpr:
+        return _expand(self.recipe)
+
+
+def _expand(recipe) -> BivarExpr:
+    """Sum over the (coeff, ((source, exponent), ...)) terms of a recipe of
+    coeff times the product of the sources' provenances to their exponents.
+    A source is an earlier element or the generator X or Y itself."""
+    out = BivarExpr.zero()
+    for coeff, factors in recipe:
+        term = BivarExpr.const(1)
+        for src, e in factors:
+            gen = isinstance(src, BivarExpr)
+            term = term * (src**e if gen else _cached_power(src._pows, src.provenance, e))
+        out = out + term.scale(coeff)
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,15 +186,13 @@ class _Reducer:
     """
 
     def __init__(self, items, scalar_field, budget: _Budget | None = None):
-        self.items = list(items)
         self.field = scalar_field
         self.budget = budget
-        self.by_degree = {it.degree: it for it in self.items}
+        self.by_degree = {it.degree: it for it in items}
         self.degs_desc = sorted(self.by_degree, reverse=True)
         self.tables = None
         self.bound = -1
         self.poly_pows = {}
-        self.prov_pows = {}
 
     def _ensure(self, bound: int):
         if self.tables is not None and bound <= self.bound:
@@ -217,29 +234,22 @@ class _Reducer:
                 deg -= c * d
         return counts
 
-    def product(self, counts, certify: bool = True):
-        """Monic product of element powers and the matching provenance.
-        With certify=False the provenance slot is None; expanding
-        provenance powers is by far the dominant cost on large bases."""
+    def product(self, counts):
+        """Monic product of element powers, and its recipe factors."""
+        factors = tuple((self.by_degree[d], c) for d, c in counts.items())
         p = Poly.one(self.field)
-        prov = BivarExpr.const(1) if certify else None
-        for d, c in counts.items():
-            it = self.by_degree[d]
-            p = p * _cached_power(self.poly_pows.setdefault(d, {}), it.poly, c)
-            if certify:
-                prov = prov * _cached_power(
-                    self.prov_pows.setdefault(d, {}), it.provenance, c
-                )
-        return p, prov
+        for el, c in factors:
+            p = p * _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
+        return p, factors
 
-    def reduce(self, u: Poly, certify: bool = True):
-        """Subduct u; returns (remainder, consumed) with
-        u = eval(consumed) + remainder.  The remainder is constant or has
-        leading degree outside the degree semigroup.  certify=False skips
-        the consumed combination (returned as None) for callers that only
-        need the remainder."""
+    def reduce(self, u: Poly):
+        """Subduct u; returns (remainder, consumed) with consumed a recipe
+        and u = eval(_expand(consumed)) + remainder.  The remainder is
+        constant or has leading degree outside the degree semigroup."""
+        if u.field is not self.field:
+            raise TypeError("polynomial is over a different field than the basis")
         r = u
-        consumed = BivarExpr.zero() if certify else None
+        consumed = []
         while not r.is_constant:
             counts = self.factor(r.degree)
             if counts is None:
@@ -247,11 +257,10 @@ class _Reducer:
             if self.budget is not None:
                 self.budget.tick("subduction")
             lead = r.lead
-            prod, prov = self.product(counts, certify)
+            prod, factors = self.product(counts)
             r = r - prod.scale(lead)
-            if certify:
-                consumed = consumed + prov.scale(lead)
-        return r, consumed
+            consumed.append((lead, factors))
+        return r, tuple(consumed)
 
 
 def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
@@ -259,17 +268,18 @@ def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
     u = eval_bivariate(consumed, f, g) + remainder exactly; each step
     strictly decreases the degree, so this always terminates.  With
     certify=False consumed is not built and comes back as None."""
-    if u.field is not basis.f.field:
-        raise TypeError("polynomial is over a different field than the basis")
-    return basis._reducer.reduce(u, certify)
+    r, consumed = basis._reducer.reduce(u)
+    return r, _expand(consumed) if certify else None
 
 
-def _adjoin(work, r: Poly, prov: BivarExpr) -> bool:
-    """Append the remainder r, with eval(prov) == r, as a fresh monic
-    element.  Constant remainders are absorbed (False)."""
+def _adjoin(work, r: Poly, head: tuple, consumed: tuple) -> bool:
+    """Append the remainder r = eval(head) - eval(consumed), both recipes,
+    as a fresh monic element.  Constant remainders are absorbed (False)."""
     if r.is_constant:
         return False
-    work.append(SagbiElement(r.monic(), prov.scale(r.field(1) / r.lead), r.degree))
+    inv = r.field(1) / r.lead
+    recipe = head + tuple((-c, fs) for c, fs in consumed)
+    work.append(SagbiElement(r.monic(), tuple((c * inv, fs) for c, fs in recipe), r.degree))
     return True
 
 
@@ -287,7 +297,7 @@ def _interreduce(work, scalar_field, budget: _Budget):
             if r == el.poly:
                 continue
             work.remove(el)
-            _adjoin(work, r, el.provenance - consumed)
+            _adjoin(work, r, ((1, ((el, 1),)),), consumed)
             changed = True
             break
 
@@ -298,10 +308,10 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
         raise TypeError("generators must share one coefficient field")
     budget = _Budget(cap)
     work = []
-    for p, prov in ((g, BivarExpr.Y()), (f, BivarExpr.X())):
+    for p, gen in ((g, BivarExpr.Y()), (f, BivarExpr.X())):
         if not p.is_constant:
             r, consumed = _Reducer(work, scalar_field, budget).reduce(p)
-            _adjoin(work, r, prov - consumed)
+            _adjoin(work, r, ((1, ((gen, 1),)),), consumed)
     if not work:
         raise TrivialAlgebra("both generators are constant")
 
@@ -322,9 +332,9 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
                     "basis degrees are not telescopic in work-list order; "
                     "this should be unreachable for two generators"
                 )
-            prod, prov = prefix.product(counts)
+            prod, factors = prefix.product(counts)
             r, consumed = full.reduce(el.poly**q - prod)
-            if _adjoin(work, r, el.provenance**q - prov - consumed):
+            if _adjoin(work, r, ((1, ((el, q),)), (-1, factors)), consumed):
                 break
         else:
             # a round without a new element checked every position
@@ -351,23 +361,19 @@ def _sagbi_cached(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     return _complete(f, g, cap)
 
 
-def is_member(
-    u: Poly, f: Poly, g: Poly, cap=None, certify: bool = True
-) -> MembershipResult:
+def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResult:
     """Decide u ∈ k[f, g], with a certificate on success and the degree of
     the irreducible remainder on failure.  certify=False gives the same
-    verdict and obstruction degree without building the certificate
-    (None), which is much cheaper on large bases."""
+    verdict and obstruction degree with no certificate (None) and no
+    expression arithmetic at all."""
     if f.is_constant and g.is_constant:
         raise TrivialAlgebra("membership in k[constants] is not meaningful here")
-    basis = sagbi_basis(f, g, cap)
-    r, consumed = subduct(u, basis, certify)
+    r, consumed = sagbi_basis(f, g)._reducer.reduce(u)
     if not r.is_constant:
         return MembershipResult(False, None, r.degree)
-    c = r.constant_value()
-    if certify and c:
-        consumed = consumed + BivarExpr.const(c)
-    return MembershipResult(True, consumed, None)
+    if not certify:
+        return MembershipResult(True, None, None)
+    return MembershipResult(True, _expand(consumed + ((r.constant_value(), ()),)), None)
 
 
 def _echelon_insert(ech, p: Poly, combo: BivarExpr):
@@ -443,29 +449,22 @@ def brute_force_member(u: Poly, f: Poly, g: Poly, bound: int):
     return consumed
 
 
-def delta_sequence(f: Poly, g: Poly, cap=None) -> DeltaSequence:
+def delta_sequence(f: Poly, g: Poly) -> DeltaSequence:
     """Delta sequence of the degree semigroup of k[f, g]: the two input
     degrees (g first), then repeatedly the smallest semigroup degree not
     divisible by the running gcd, together with the gcd chain."""
     if f.is_constant or g.is_constant:
         raise TrivialAlgebra("delta sequences need both generators nonconstant")
-    basis = sagbi_basis(f, g, cap)
-    atoms = basis.degrees
-    overall = _fold(math.gcd, atoms)
-    top = max(atoms)
-    table = _reachable(atoms, top)
     deltas = [g.degree, f.degree]
     d = math.gcd(deltas[0], deltas[1])
     ds = [d]
-    while d != overall:
-        smallest = next(
-            (v for v in range(1, top + 1) if table[v] and v % d), None
-        )
-        if smallest is None:
-            raise InternalInconsistency("gcd chain open but no indivisible degree")
-        deltas.append(smallest)
-        d = math.gcd(d, smallest)
-        ds.append(d)
+    # a sum that d does not divide has a term, no larger, that d does not divide;
+    # and what d divides stays divided as d shrinks, so one ascending pass does
+    for v in sagbi_basis(f, g).degrees:
+        if v % d:
+            deltas.append(v)
+            d = math.gcd(d, v)
+            ds.append(d)
     return DeltaSequence(tuple(deltas), tuple(ds), len(deltas) - 1)
 
 

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .field_poly import BivarExpr, Poly
 from .line import is_line
-from .subalgebra import SagbiBasis, delta_sequence, sagbi_basis, semigroup_represent
+from .subalgebra import _expand, delta_sequence, sagbi_basis, semigroup_represent
 
 __all__ = [
     "StrongAmReport",
@@ -58,25 +58,20 @@ class Prop22Report:
     derived_derivatives_verified: bool
 
 
-def _realize_degree(basis: SagbiBasis, target: int) -> BivarExpr:
-    """Provenance of a monic element of k[f, g] with the given degree, as
-    a product of basis elements (greedy factorization)."""
+def _witness(alphas, deltas, basis) -> BivarExpr:
+    """Monic element of degree sum(alphas[i] * deltas[i]) as one recipe:
+    the deltas' greedy factorizations over the basis, to the powers alphas."""
     red = basis._reducer
-    counts = red.factor(target)
-    if counts is None:
-        raise InternalInconsistency(f"degree {target} not realized by the basis")
-    return red.product(counts)[1]
-
-
-def _witness(alphas, deltas, basis: SagbiBasis) -> BivarExpr:
-    out = BivarExpr.const(1)
+    factors = []
     for alpha, delta in zip(alphas, deltas):
-        if alpha:
-            out = out * _realize_degree(basis, delta) ** alpha
-    return out
+        counts = red.factor(delta) if alpha else {}
+        if counts is None:
+            raise InternalInconsistency(f"degree {delta} not realized by the basis")
+        factors += ((red.by_degree[d], alpha * c) for d, c in counts.items())
+    return _expand(((1, tuple(factors)),))
 
 
-def check_strong_am(f: Poly, g: Poly, a: int, cap=None) -> StrongAmReport:
+def check_strong_am(f: Poly, g: Poly, a: int) -> StrongAmReport:
     """Degree-gap test: applicable iff both m - a and n - a lie in the
     degree semigroup of k[f, g]; then explicit witnesses are built and the
     divisibility conclusion is asserted."""
@@ -86,13 +81,13 @@ def check_strong_am(f: Poly, g: Poly, a: int, cap=None) -> StrongAmReport:
     if not isinstance(a, int) or a < 1 or a > min(m, n):
         raise PreconditionViolated(f"need 1 <= a <= min({m}, {n}), got {a!r}")
     divisibility = n % m == 0 or m % n == 0
-    delta = delta_sequence(f, g, cap)
+    delta = delta_sequence(f, g)
     try:
         u_repr = semigroup_represent(m - a, delta)
         v_repr = semigroup_represent(n - a, delta)
     except NotInSemigroup:
         return StrongAmReport(False, a, m - a, n - a, None, None, divisibility)
-    basis = sagbi_basis(f, g, cap)
+    basis = sagbi_basis(f, g)
     u_witness = _witness(u_repr.alphas, delta.deltas, basis)
     v_witness = _witness(v_repr.alphas, delta.deltas, basis)
     if not divisibility:
@@ -102,7 +97,7 @@ def check_strong_am(f: Poly, g: Poly, a: int, cap=None) -> StrongAmReport:
     return StrongAmReport(True, a, m - a, n - a, u_witness, v_witness, divisibility)
 
 
-def check_prop22(f: Poly, g: Poly, cap=None) -> Prop22Report:
+def check_prop22(f: Poly, g: Poly) -> Prop22Report:
     """Check the two constant conditions and, when both hold, verify the
     derived derivative identities, the line verdict, and the canonical
     shape (if deg f <= deg g) exactly."""
@@ -120,7 +115,7 @@ def check_prop22(f: Poly, g: Poly, cap=None) -> Prop22Report:
     cond222 = diff.is_constant
     b_val = diff.constant_value() if cond222 else None
 
-    verdict = is_line(f, g, cap)
+    verdict = is_line(f, g)
     derived_ok = False
     canonical_c = canonical_b = None
     if cond221 and cond222:

@@ -316,6 +316,20 @@ class TestGenCorpus:
         assert len(pairs) == 200
         assert sum(1 for kind, _, _ in pairs if kind == "line") >= 100
 
+    def test_count_zero_prints_nothing(self, capsys):
+        assert run_cli(capsys, "gen-corpus", "--count", "0") == (0, "", "")
+        status, out, _ = run_cli(capsys, "gen-corpus", "--count", "1")
+        assert status == 0 and len(out.splitlines()) == 1
+
+    def test_negative_count_is_an_error(self, capsys, tmp_path):
+        out_path = tmp_path / "corpus.jsonl"
+        status, out, err = run_cli(
+            capsys, "gen-corpus", "--count", "-5", "--out", str(out_path)
+        )
+        assert status == 1 and err == ""
+        assert "--count" in json.loads(out)["error"]
+        assert not out_path.exists()
+
     def test_rows_feed_back_into_is_line(self, capsys):
         # Rows must survive the argument layer even when a polynomial
         # has a negative leading coefficient.
