@@ -627,24 +627,50 @@ class RatFunc:
 class BivarExpr:
     """Formal expression in two generators X and Y with exact coefficients.
 
-    Stored as a finite map (i, j) -> coefficient with no zero entries.  These
+    A finite map (i, j) -> coefficient with no zero entries.  These
     expressions serve as membership certificates and basis provenance: they
     record how to rebuild a polynomial from the pair (f, g) by substituting
     X -> f and Y -> g.
+
+    Stored as :class:`Poly` stores its coefficients.  Over the rationals
+    the coefficient of (i, j) is ``nums[(i, j)] / den``: integer numerators
+    over one positive common denominator, in lowest terms, so equal
+    expressions are stored alike.  Over :class:`RatFunc`, ``nums`` holds
+    the coefficients themselves and ``den`` is 1; combining the two fields
+    gives an expression over RatFunc.  ``terms`` is the map in the field,
+    built on each access.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("nums", "den", "field", "_hash")
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for (i, j), c in dict(terms).items():
-                if not isinstance(c, (Fraction, RatFunc)):
-                    c = Fraction(c)
-                if c:
-                    clean[(int(i), int(j))] = c
-        self.terms = clean
-        self._hash = None
+        items = [((int(i), int(j)), c) for (i, j), c in dict(terms or {}).items()]
+        if any(isinstance(c, RatFunc) for _, c in items):
+            field, den = RatFunc, 1
+            items = [(k, c if isinstance(c, RatFunc) else RatFunc(c)) for k, c in items]
+        else:
+            field = Fraction
+            items = [(k, c if isinstance(c, (int, Fraction)) else Fraction(c)) for k, c in items]
+            den = math.lcm(*(c.denominator for _, c in items))
+            items = [(k, c.numerator * (den // c.denominator)) for k, c in items]
+        self._set({k: c for k, c in items if c}, den, field)
+
+    def _set(self, nums, den, field):
+        # Trusted: nums has no zero values and den > 0.  Reduces to lowest terms.
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = math.gcd(den, *nums.values())
+            if g != 1:
+                nums = {k: c // g for k, c in nums.items()}
+                den //= g
+        self.nums, self.den, self.field, self._hash = nums, den, field, None
+
+    @classmethod
+    def _make(cls, nums, den, field):
+        obj = object.__new__(cls)
+        obj._set(nums, den, field)
+        return obj
 
     @classmethod
     def zero(cls) -> "BivarExpr":
@@ -667,57 +693,88 @@ class BivarExpr:
         return cls.monomial(0, 0, c)
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def terms(self) -> dict:
+        """The map (i, j) -> coefficient in the field."""
+        if self.field is Fraction:
+            return {k: Fraction(c, self.den) for k, c in self.nums.items()}
+        return dict(self.nums)
 
-    def __add__(self, other):
-        if not isinstance(other, BivarExpr):
-            return NotImplemented
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def _over(self, field):
+        """(nums, den) of self as an expression over field, which is
+        self.field or RatFunc."""
+        if field is self.field:
+            return self.nums, self.den
+        if field is not RatFunc:
+            raise TypeError("an expression over RatFunc has no value over the rationals")
+        return {k: RatFunc(Fraction(c, self.den)) for k, c in self.nums.items()}, 1
+
+    def _pair(self, other):
+        """Both operands' (nums, den) over one field, and that field."""
+        field = self.field if self.field is other.field else RatFunc
+        return self._over(field), other._over(field), field
+
+    def _add(self, other, op):
+        (a, da), (b, db), field = self._pair(other)
+        if da != db:
+            # only over Q: bring both to the lcm of the denominators
+            g = math.gcd(da, db)
+            ka, kb = db // g, da // g
+            if ka != 1:
+                a = {k: c * ka for k, c in a.items()}
+            if kb != 1:
+                b = {k: c * kb for k, c in b.items()}
+            da *= ka
+        out = dict(a)
+        for k, c in b.items():
+            s = op(out.get(k, 0), c)
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-        r = object.__new__(BivarExpr)
-        r.terms, r._hash = out, None
-        return r
+        return BivarExpr._make(out, da, field)
+
+    def __add__(self, other):
+        if not isinstance(other, BivarExpr):
+            return NotImplemented
+        return self._add(other, operator.add)
 
     def __neg__(self):
-        r = object.__new__(BivarExpr)
-        r.terms = {k: -c for k, c in self.terms.items()}
-        r._hash = None
-        return r
+        return BivarExpr._make({k: -c for k, c in self.nums.items()}, self.den, self.field)
 
     def __sub__(self, other):
         if not isinstance(other, BivarExpr):
             return NotImplemented
-        return self + (-other)
+        return self._add(other, operator.sub)
 
     def __mul__(self, other):
         if not isinstance(other, BivarExpr):
             return NotImplemented
+        (a, da), (b, db), field = self._pair(other)
         out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
+        for (i1, j1), c1 in a.items():
+            for (i2, j2), c2 in b.items():
                 k = (i1 + i2, j1 + j2)
                 s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        r = object.__new__(BivarExpr)
-        r.terms, r._hash = out, None
-        return r
+        return BivarExpr._make(out, da * db, field)
 
     def scale(self, c) -> "BivarExpr":
         if not c:
             return BivarExpr.zero()
-        r = object.__new__(BivarExpr)
-        r.terms = {k: v * c for k, v in self.terms.items()}
-        r._hash = None
-        return r
+        if isinstance(c, RatFunc) or self.field is RatFunc:
+            nums, _ = self._over(RatFunc)
+            return BivarExpr._make({k: v * c for k, v in nums.items()}, 1, RatFunc)
+        # an int or a Fraction: both carry numerator and (positive) denominator
+        p = c.numerator
+        nums = self.nums if p == 1 else {k: v * p for k, v in self.nums.items()}
+        return BivarExpr._make(nums, self.den * c.denominator, Fraction)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -729,39 +786,28 @@ class BivarExpr:
     def eval(self, f: Poly, g: Poly) -> Poly:
         """Substitute X -> f and Y -> g and expand exactly.
 
-        Nested Horner over the sparse exponents: one multiplication per
-        exponent gap rather than one full f^i * g^j product per term,
-        which matters for the certificates of high-degree members.
+        Terms are grouped in rows by their X exponent.  A row, the sum of
+        c_ij * g^j, is one linear combination of cached powers of g, and
+        Horner in f runs over the rows: one product per distinct X exponent
+        rather than one per term, which matters for the certificates of
+        high-degree members.
         """
         field = f.field
         if g.field is not field:
             raise TypeError("mixed coefficient fields in substitution")
-        fpows, gpows = {}, {}
-        by_i: dict = {}
-        for (i, j), c in self.terms.items():
-            by_i.setdefault(i, {})[j] = c
-
-        def horner_y(row: dict) -> Poly:
-            acc = Poly.zero(field)
-            prev = None
-            for j in sorted(row, reverse=True):
-                if prev is not None:
-                    acc = acc * _cached_power(gpows, g, prev - j)
-                c = row[j]
-                if not isinstance(c, field):
-                    c = field(c)
-                acc = acc + Poly.one(field).scale(c)
-                prev = j
-            if prev:
-                acc = acc * _cached_power(gpows, g, prev)
-            return acc
-
+        nums, den = self._over(field)
+        rows: dict = {}
+        for (i, j), c in nums.items():
+            rows.setdefault(i, []).append((c, j))
+        fpows = {}
+        gpows = {0: Poly.one(field)}
         total = Poly.zero(field)
         prev = None
-        for i in sorted(by_i, reverse=True):
+        for i in sorted(rows, reverse=True):
             if prev is not None:
                 total = total * _cached_power(fpows, f, prev - i)
-            total = total + horner_y(by_i[i])
+            row = [(c, _cached_power(gpows, g, j)) for c, j in rows[i]]
+            total = total + _combine(row, den, field)
             prev = i
         if prev:
             total = total * _cached_power(fpows, f, prev)
@@ -773,13 +819,15 @@ class BivarExpr:
 
     def weight(self, wx: int, wy: int):
         """Max of i*wx + j*wy over the support, NEG_INF when empty."""
-        if not self.terms:
+        if not self.nums:
             return NEG_INF
-        return max(i * wx + j * wy for (i, j) in self.terms)
+        return max(i * wx + j * wy for (i, j) in self.nums)
 
     def __eq__(self, other):
         if not isinstance(other, BivarExpr):
             return NotImplemented
+        if self.field is other.field:
+            return self.den == other.den and self.nums == other.nums
         return self.terms == other.terms
 
     def __hash__(self):
@@ -789,6 +837,20 @@ class BivarExpr:
 
     def __repr__(self):
         return f"BivarExpr({self.terms!r})"
+
+
+def _combine(terms, den, field) -> Poly:
+    """sum(c * p for c, p in terms) / den, for nonzero coefficients c in
+    the form BivarExpr stores them (integer numerators over Q): one
+    multiply-add pass per term over the numerators, one normalization."""
+    lcm = math.lcm(*(p.den for _, p in terms))
+    acc = [0 if field is Fraction else field(0)] * max(len(p.nums) for _, p in terms)
+    add, mul = operator.add, operator.mul
+    for c, p in terms:
+        k = c if p.den == lcm else c * (lcm // p.den)
+        n = len(p.nums)
+        acc[:n] = map(add, acc[:n], map(mul, p.nums, repeat(k, n)))
+    return Poly._make(acc, den * lcm, field)
 
 
 # -- module-level operation surface ---------------------------------------

@@ -69,10 +69,14 @@ def criterion_check(f: Poly, g: Poly) -> bool:
     return _criterion_reason(f, g)[0]
 
 
-def _invert_linear(p: Poly, expr: BivarExpr, f: Poly, g: Poly) -> BivarExpr:
-    # p = c1*z + c0 and eval(expr, f, g) == p, so z = (expr - c0)/c1.
+def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
+    """Replay the elimination steps on (X, Y) to get work[k] = p as an
+    expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1."""
+    exprs = [BivarExpr.X(), BivarExpr.Y()]
+    for hi, power, inv, lead in steps:
+        exprs[hi] = exprs[hi] - (exprs[1 - hi].scale(inv) ** power).scale(lead)
     c0, c1 = p.coeff(0), p.coeff(1)
-    inverse = (expr - BivarExpr.const(c0)).scale(p.field(1) / c1)
+    inverse = (exprs[k] - BivarExpr.const(c0)).scale(p.field(1) / c1)
     if eval_bivariate(inverse, f, g) != Poly.variable(f.field):
         raise InternalInconsistency("tracked inverse does not evaluate to z")
     return inverse
@@ -81,23 +85,25 @@ def _invert_linear(p: Poly, expr: BivarExpr, f: Poly, g: Poly) -> BivarExpr:
 def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
     """Constructive decider: repeatedly subtract a power of the lower
     generator to cancel the higher one's leading term (f's on a tie),
-    tracking both generators as expressions in the original (f, g).
+    recording each step so that both generators are expressions in the
+    original (f, g).
 
-    Stops successfully when a generator reaches degree 1 (inverting it
-    yields the inverse), and unsuccessfully when neither degree divides
-    the other, when a sole survivor has degree above 1, or when both
-    collapse to constants.  The top degree strictly decreases, so at most
-    deg f + deg g steps run.
+    Stops successfully when a generator reaches degree 1 (replaying the
+    steps on (X, Y) and inverting it yields the inverse), and
+    unsuccessfully when neither degree divides the other, when a sole
+    survivor has degree above 1, or when both collapse to constants.  The
+    top degree strictly decreases, so at most deg f + deg g steps run.
     """
     field = f.field
-    work = [(f, BivarExpr.X()), (g, BivarExpr.Y())]
+    work = [f, g]
+    steps = []
     while True:
-        for p, expr in work:
+        for k, p in enumerate(work):
             if p.degree == 1:
                 return LineVerdict(
-                    True, _invert_linear(p, expr, f, g), LineReason(CRITERION_HOLDS)
+                    True, _inverse(k, p, steps, f, g), LineReason(CRITERION_HOLDS)
                 )
-        (pf, _), (pg, _) = work
+        pf, pg = work
         if pf.is_constant and pg.is_constant:
             return LineVerdict(False, None, LineReason(ALGEBRA_TRIVIAL))
         if pf.is_constant or pg.is_constant:
@@ -106,7 +112,7 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
                 False, None, LineReason(UNFAITHFUL_PARAMETER, deg_h=survivor.degree)
             )
         hi = 0 if pf.degree >= pg.degree else 1
-        (top, top_expr), (low, low_expr) = work[hi], work[1 - hi]
+        top, low = work[hi], work[1 - hi]
         if top.degree % low.degree:
             return LineVerdict(
                 False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
@@ -114,10 +120,8 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
         power = top.degree // low.degree
         inv = field(1) / low.lead
         lead = top.lead
-        work[hi] = (
-            top - (low.scale(inv) ** power).scale(lead),
-            top_expr - (low_expr.scale(inv) ** power).scale(lead),
-        )
+        work[hi] = top - (low.scale(inv) ** power).scale(lead)
+        steps.append((hi, power, inv, lead))
 
 
 def is_line(f: Poly, g: Poly) -> LineVerdict:

@@ -76,11 +76,12 @@ def _expand(recipe) -> BivarExpr:
     A source is an earlier element or the generator X or Y itself."""
     out = BivarExpr.zero()
     for coeff, factors in recipe:
-        term = BivarExpr.const(1)
+        term = None
         for src, e in factors:
             gen = isinstance(src, BivarExpr)
-            term = term * (src**e if gen else _cached_power(src._pows, src.provenance, e))
-        out = out + term.scale(coeff)
+            p = src**e if gen else _cached_power(src._pows, src.provenance, e)
+            term = p if term is None else term * p
+        out = out + (BivarExpr.const(coeff) if term is None else term.scale(coeff))
     return out
 
 
@@ -178,11 +179,15 @@ def _reachable(degrees, bound: int) -> bytearray:
     return table
 
 
+_MISSING = object()
+
+
 class _Reducer:
     """Subduction engine over elements with pairwise distinct degrees.
 
     Keeps suffix reachability tables for the greedy factorization (largest
-    degree first) and memoizes element powers; both grow on demand.
+    degree first), memoizes element powers and, per degree, the monic
+    product that subduction subtracts; all grow on demand.
     """
 
     def __init__(self, items, scalar_field, budget: _Budget | None = None):
@@ -193,6 +198,7 @@ class _Reducer:
         self.tables = None
         self.bound = -1
         self.poly_pows = {}
+        self.products = {}
 
     def _ensure(self, bound: int):
         if self.tables is not None and bound <= self.bound:
@@ -234,13 +240,24 @@ class _Reducer:
                 deg -= c * d
         return counts
 
-    def product(self, counts):
-        """Monic product of element powers, and its recipe factors."""
-        factors = tuple((self.by_degree[d], c) for d, c in counts.items())
-        p = Poly.one(self.field)
-        for el, c in factors:
-            p = p * _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
-        return p, factors
+    def product(self, deg: int):
+        """(monic product of element powers of degree deg, its recipe
+        factors), built from factor(deg) once per degree; None if deg is not
+        representable.  A single-factor product is the cached power itself."""
+        got = self.products.get(deg, _MISSING)
+        if got is not _MISSING:
+            return got
+        counts = self.factor(deg)
+        got = None
+        if counts is not None:
+            factors = tuple((self.by_degree[d], c) for d, c in counts.items())
+            p = None
+            for el, c in factors:
+                pw = _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
+                p = pw if p is None else p * pw
+            got = (p, factors)
+        self.products[deg] = got
+        return got
 
     def reduce(self, u: Poly):
         """Subduct u; returns (remainder, consumed) with consumed a recipe
@@ -251,13 +268,13 @@ class _Reducer:
         r = u
         consumed = []
         while not r.is_constant:
-            counts = self.factor(r.degree)
-            if counts is None:
+            got = self.product(r.degree)
+            if got is None:
                 break
             if self.budget is not None:
                 self.budget.tick("subduction")
             lead = r.lead
-            prod, factors = self.product(counts)
+            prod, factors = got
             r = r - prod.scale(lead)
             consumed.append((lead, factors))
         return r, tuple(consumed)
@@ -325,14 +342,13 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
             nxt = math.gcd(running, el.degree)
             q = running // nxt
             running = nxt
-            prefix = _Reducer(work[:j], scalar_field, budget)
-            counts = prefix.factor(q * el.degree)
-            if counts is None:
+            got = _Reducer(work[:j], scalar_field, budget).product(q * el.degree)
+            if got is None:
                 raise InternalInconsistency(
                     "basis degrees are not telescopic in work-list order; "
                     "this should be unreachable for two generators"
                 )
-            prod, factors = prefix.product(counts)
+            prod, factors = got
             r, consumed = full.reduce(el.poly**q - prod)
             if _adjoin(work, r, ((1, ((el, q),)), (-1, factors)), consumed):
                 break
@@ -368,7 +384,11 @@ def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResu
     expression arithmetic at all."""
     if f.is_constant and g.is_constant:
         raise TrivialAlgebra("membership in k[constants] is not meaningful here")
-    r, consumed = sagbi_basis(f, g)._reducer.reduce(u)
+    basis = sagbi_basis(f, g)
+    if not certify and basis.elements[0].degree == 1 and u.field is f.field:
+        # a degree-1 element makes the degree semigroup all of N
+        return MembershipResult(True, None, None)
+    r, consumed = basis._reducer.reduce(u)
     if not r.is_constant:
         return MembershipResult(False, None, r.degree)
     if not certify:

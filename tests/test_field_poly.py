@@ -358,6 +358,166 @@ class TestBivarExpr:
         assert direct == by_hand
 
 
+
+# Reference for BivarExpr: plain dicts (i, j) -> coefficient, with the
+# arithmetic written out on field elements.
+
+
+def _bref_add(a, b):
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _bref_mul(a, b):
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _bref_scale(a, c):
+    return {k: v * c for k, v in a.items() if v * c}
+
+
+def _bref_eval(a, f, g):
+    out = Poly.zero(f.field)
+    for (i, j), c in a.items():
+        out = out + (f**i * g**j).scale(c)
+    return out
+
+
+_BIG_DEN = st.sampled_from((1, 2, 3, 2**61 - 1, 3**90, 2**127 * 5**7))
+_BCOEFF = st.builds(
+    lambda n, d, k: Fraction(n, d * k),
+    st.integers(-(2**70), 2**70),
+    _BIG_DEN,
+    st.integers(1, 12),
+)
+_BTERMS = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _BCOEFF.filter(bool), max_size=6
+)
+
+
+class TestBivarIntegerCore:
+    """Integer numerators over one denominator against the Fraction-dict
+    reference above."""
+
+    @staticmethod
+    def _canonical(e):
+        assert e.field is Fraction
+        assert e.den > 0
+        assert all(type(c) is int and c for c in e.nums.values())
+        assert math.gcd(e.den, *e.nums.values()) == 1
+
+    @settings(deadline=None, max_examples=80)
+    @given(_BTERMS, _BTERMS, _BCOEFF, st.integers(0, 3))
+    def test_ops_match_reference(self, a, b, c, n):
+        ea, eb = BivarExpr(a), BivarExpr(b)
+        neg_b = {k: -v for k, v in b.items()}
+        cases = [
+            (ea + eb, _bref_add(a, b)),
+            (ea - eb, _bref_add(a, neg_b)),
+            (-eb, neg_b),
+            (ea * eb, _bref_mul(a, b)),
+            (ea.scale(c), _bref_scale(a, c)),
+        ]
+        power = {(0, 0): Fraction(1)}
+        for _ in range(n):
+            power = _bref_mul(power, a)
+        cases.append((ea**n, power))
+        for got, want in cases:
+            self._canonical(got)
+            assert got.terms == want
+            assert got == BivarExpr(want) and hash(got) == hash(BivarExpr(want))
+
+    def test_scale_by_zero_int_and_fraction(self):
+        e = BivarExpr({(1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 6)})
+        assert e.scale(0).is_zero and e.scale(Fraction(0)).is_zero
+        assert e.scale(0).den == 1
+        assert e.scale(3).terms == {(1, 0): Fraction(2), (0, 2): Fraction(-5, 2)}
+        assert e.scale(Fraction(-3, 4)).terms == {(1, 0): Fraction(-1, 2), (0, 2): Fraction(5, 8)}
+        self._canonical(e.scale(Fraction(-3, 4)))
+        assert e.scale(Fraction(6, 5)).den == 5
+
+    def test_large_denominators(self):
+        p, q = 2**127 - 1, 2**89 - 1
+        a = BivarExpr({(1, 0): Fraction(1, p), (0, 1): Fraction(3, q)})
+        b = BivarExpr({(1, 0): Fraction(-1, p), (2, 0): Fraction(q, p)})
+        s = a + b
+        assert s.terms == {(0, 1): Fraction(3, q), (2, 0): Fraction(q, p)}
+        assert s.den == p * q
+        prod = a * b
+        self._canonical(prod)
+        assert prod.terms == _bref_mul(a.terms, b.terms)
+        assert (a - a).is_zero and (a - a).den == 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(_BTERMS, st.integers(1, 2**64))
+    def test_eq_hash_against_fraction_built(self, a, k):
+        built = BivarExpr.zero()
+        for (i, j), c in a.items():
+            built = built + BivarExpr.monomial(i, j, c)
+        # the same rationals written over a larger denominator
+        wide = BivarExpr({key: Fraction(c.numerator * k, c.denominator * k) for key, c in a.items()})
+        direct = BivarExpr(a)
+        assert built == direct == wide
+        assert hash(built) == hash(direct) == hash(wide) == hash(frozenset(a.items()))
+        assert (built.nums, built.den) == (direct.nums, direct.den)
+        assert repr(direct) == f"BivarExpr({a!r})"
+
+    @settings(deadline=None, max_examples=40)
+    @given(_BTERMS, _BTERMS)
+    def test_terms_are_fractions_in_lowest_terms(self, a, b):
+        for e in (BivarExpr(a) * BivarExpr(b), BivarExpr(a) + BivarExpr(b)):
+            for c in e.terms.values():
+                assert type(c) is Fraction
+                assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+            assert [t[2] for t in e.sorted_terms()] == [e.terms[k] for k in sorted(e.terms)]
+
+    def test_ratfunc_coefficients_mix_in(self):
+        x = RatFunc.x()
+        r = {(1, 1): 1 / x, (0, 0): x + 1}
+        q = {(1, 1): Fraction(2, 3), (2, 0): Fraction(-1, 7)}
+        er, eq = BivarExpr(r), BivarExpr(q)
+        assert er.field is RatFunc and er.den == 1
+        for got, want in (
+            (er + eq, _bref_add(r, q)),
+            (eq - er, _bref_add(q, {k: -v for k, v in r.items()})),
+            (eq * er, _bref_mul(q, r)),
+            (eq.scale(x), _bref_scale(q, x)),
+            (er.scale(Fraction(3, 2)), _bref_scale(r, Fraction(3, 2))),
+        ):
+            assert got.field is RatFunc
+            assert got.terms == want
+        # rational constants over RatFunc equal the same expression over Q
+        assert BivarExpr({k: RatFunc(c) for k, c in q.items()}) == eq
+        assert (er - er).is_zero
+
+    @settings(deadline=None, max_examples=40)
+    @given(_BTERMS)
+    def test_eval_over_q(self, a):
+        f, g = Z**2 - Poly([Fraction(1, 3)]), Z**3 + Z.scale(Fraction(5, 2))
+        assert BivarExpr(a).eval(f, g) == _bref_eval(a, f, g)
+
+    def test_eval_over_ratfunc(self):
+        x = RatFunc.x()
+        y = Poly.variable(RatFunc)
+        f = y**2 + Poly.constant(x)
+        g = y.scale(1 / x) + Poly.constant(RatFunc(3))
+        terms = {(0, 0): x, (1, 0): RatFunc(2), (2, 3): 1 / (x + 1), (0, 2): RatFunc(Fraction(-1, 5))}
+        e = BivarExpr(terms)
+        assert e.eval(f, g) == _bref_eval(terms, f, g)
+        # an expression over Q evaluates at RatFunc polynomials too
+        q = {(1, 2): Fraction(2, 3), (3, 0): Fraction(-1)}
+        assert BivarExpr(q).eval(f, g) == _bref_eval(q, f, g)
+        with pytest.raises(TypeError):
+            e.eval(Z, Z)
+
+
 def test_every_exported_name_resolves():
     import importlib
     import pkgutil

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoh import (
+    BivarExpr,
     Poly,
     criterion_check,
     eval_bivariate,
@@ -37,6 +38,24 @@ class TestExampleCurve:
         # is reached at degrees (3, 2), not the original (3, 6)
         verdict = reduce_to_line(*example_curve)
         assert (verdict.reason.m, verdict.reason.n) == (3, 2)
+
+    def test_no_line_builds_no_expression_products(self, example_curve, monkeypatch):
+        # the inverse is built from the recorded steps only for a line
+        calls = []
+        original = BivarExpr.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(BivarExpr, "__mul__", counting)
+        assert not is_line(*example_curve).is_line
+        assert calls == []
+        f = Z**2 + Z
+        g = f**2 + Z
+        verdict = is_line(f, g)
+        assert verdict.is_line and calls
+        assert eval_bivariate(verdict.inverse, f, g) == Z
 
     def test_criterion_blames_g(self, example_curve):
         ok, reason = _criterion_reason(*example_curve)

@@ -165,6 +165,36 @@ class TestMembership:
                 assert quick.obstruction_degree == full.obstruction_degree
                 assert quick.certificate is None
 
+    def test_degree_one_basis_answers_at_once(self):
+        # g - f^2 + f = z - 1, so the degree semigroup is all of N; the
+        # verdict needs no subduction through (z - 1)^k for k up to 3000
+        f, g = Z**2 - const(2), Z**4 - (Z**2).scale(5) + Z + const(5)
+        u = Poly([1] * 3001)
+        start = time.process_time()
+        res = is_member(u, f, g, certify=False)
+        assert time.process_time() - start < 2.0
+        assert res.member and res.certificate is None and res.obstruction_degree is None
+        assert is_member(Z**3 + Z, f, g).certificate is not None
+
+    def test_warm_basis_makes_no_poly_products(self, example_curve, monkeypatch):
+        # each monic product is built once per degree and kept on the basis
+        f, g = example_curve
+        queries = (Poly([Fraction(k % 5 - 2, k % 3 + 1) for k in range(40)] + [1]),
+                   f**3 * g**4 - f.scale(2) + g**2)
+        first = [is_member(u, f, g, certify=c) for u in queries for c in (True, False)]
+        calls = []
+        original = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        again = [is_member(u, f, g, certify=c) for u in queries for c in (True, False)]
+        assert calls == []
+        assert again == first
+        assert [r.member for r in first] == [False, False, True, True]
+
     def test_constant_query(self, example_curve):
         f, g = example_curve
         res = is_member(const(5), f, g)
