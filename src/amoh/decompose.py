@@ -9,7 +9,7 @@ z itself is faithful exactly when that maximal h is linear.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BadDegree, NotComposable, TrivialAlgebra
 from .field_poly import Poly
@@ -23,14 +23,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "h f_tilde g_tilde")):
     """Common inner factor h (monic, h(0) = 0, maximal degree) with the
     outer cofactors: f = f_tilde(h) and g = g_tilde(h) exactly."""
 
-    h: Poly
-    f_tilde: Poly
-    g_tilde: Poly
+    __slots__ = ()
 
 
 def _right_factor_pair(f: Poly, e: int):

@@ -271,6 +271,13 @@ class Poly:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         if n == 0:
             return Poly.one(self.field)
+        nums = self.nums
+        if self.field is Fraction and len(nums) - nums.count(0) == 1:
+            # a monomial: (c*z^d)^n = c^n * z^(d*n), with no products; the
+            # numerator and denominator of c^n stay coprime, so no gcd either
+            out = Poly._make((0,) * ((len(nums) - 1) * n) + (nums[-1] ** n,), 1, Fraction)
+            out.den = self.den**n
+            return out
         return _power(self, n)
 
     def __divmod__(self, other):

@@ -11,10 +11,10 @@ positive instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .field_poly import BivarExpr, Fraction, Poly, RatFunc
-from .subalgebra import MembershipResult, is_member
+from .subalgebra import MembershipResult, _Frozen, is_member
 
 __all__ = [
     "BiPoly",
@@ -25,15 +25,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BiPoly:
+class BiPoly(_Frozen):
     """Polynomial in x and y, stored as a Poly in y over RatFunc(x).
 
     Genuinely polynomial inputs keep denominator 1 throughout; the
     rational-function coefficients only matter for derivative quotients.
     """
 
-    yp: Poly
+    __slots__ = ("yp",)
+
+    def __init__(self, yp: Poly):
+        object.__setattr__(self, "yp", yp)
+
+    def __repr__(self):
+        return f"BiPoly(yp={self.yp!r})"
 
     @classmethod
     def from_terms(cls, terms) -> "BiPoly":
@@ -106,11 +111,7 @@ class BiPoly:
         return hash(("amoh.BiPoly", self.yp))
 
 
-@dataclass(frozen=True)
-class Prop21Report:
-    jacobian_constant: bool
-    fy_member: MembershipResult
-    gy_member: MembershipResult
+Prop21Report = namedtuple("Prop21Report", "jacobian_constant fy_member gy_member")
 
 
 def jacobian_det(f: BiPoly, g: BiPoly) -> BiPoly:

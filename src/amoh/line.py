@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalInconsistency
 from .field_poly import BivarExpr, Poly, eval_bivariate
@@ -35,23 +35,14 @@ DIVISIBILITY_FAILURE = "DivisibilityFailure"
 UNFAITHFUL_PARAMETER = "UnfaithfulParameter"
 
 
-@dataclass(frozen=True)
-class LineReason:
+class LineReason(namedtuple("LineReason", "kind which m n deg_h", defaults=(None,) * 4)):
     """Why a verdict holds.  kind is one of the module constants; the
     remaining fields carry the detail relevant to that kind."""
 
-    kind: str
-    which: str | None = None
-    m: int | None = None
-    n: int | None = None
-    deg_h: int | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LineVerdict:
-    is_line: bool
-    inverse: BivarExpr | None
-    reason: LineReason
+LineVerdict = namedtuple("LineVerdict", "is_line inverse reason")
 
 
 def _criterion_reason(f: Poly, g: Poly):

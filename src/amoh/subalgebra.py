@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, lru_cache
 
 from .errors import (
@@ -55,15 +55,36 @@ __all__ = [
 CAP_ENV_VAR = "AMOH_ITER_CAP"
 
 
-@dataclass(frozen=True)
-class SagbiElement:
-    """One basis element: a monic polynomial, its recipe and its degree.
-    The provenance (it evaluates to poly) and its powers are built on read."""
+class _Frozen:
+    """Refuses attribute assignment and deletion, as a frozen record does."""
 
-    poly: Poly
-    recipe: tuple = field(repr=False, compare=False)
-    degree: int
-    _pows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SagbiElement(_Frozen):
+    """One basis element: a monic polynomial, its recipe and its degree.
+    The provenance (it evaluates to poly) and its powers are built on read.
+    Equality and hash read poly and degree only."""
+
+    def __init__(self, poly: Poly, recipe: tuple, degree: int):
+        self.__dict__.update(poly=poly, recipe=recipe, degree=degree, _pows={})
+
+    def __repr__(self):
+        return f"SagbiElement(poly={self.poly!r}, degree={self.degree!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poly, self.degree) == (other.poly, other.degree)
+
+    def __hash__(self):
+        return hash((self.poly, self.degree))
 
     @cached_property
     def provenance(self) -> BivarExpr:
@@ -85,11 +106,8 @@ def _expand(recipe) -> BivarExpr:
     return out
 
 
-@dataclass(frozen=True)
-class SagbiBasis:
-    elements: tuple
-    f: Poly
-    g: Poly
+class SagbiBasis(namedtuple("SagbiBasis", "elements f g"), _Frozen):
+    # Without __slots__ an instance has a __dict__, which holds the reducer.
 
     @property
     def degrees(self) -> tuple:
@@ -100,15 +118,10 @@ class SagbiBasis:
         return _Reducer(self.elements, self.f.field)
 
 
-@dataclass(frozen=True)
-class MembershipResult:
-    member: bool
-    certificate: BivarExpr | None
-    obstruction_degree: int | None
+MembershipResult = namedtuple("MembershipResult", "member certificate obstruction_degree")
 
 
-@dataclass(frozen=True)
-class DeltaSequence:
+class DeltaSequence(namedtuple("DeltaSequence", "deltas ds h")):
     """Degrees (deltas) and the gcd chain (ds) of the degree semigroup.
 
     deltas[0] = deg g and deltas[1] = deg f; each later entry is the
@@ -118,18 +131,15 @@ class DeltaSequence:
     parameter is faithful).
     """
 
-    deltas: tuple
-    ds: tuple
-    h: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SemigroupRepr:
+class SemigroupRepr(namedtuple("SemigroupRepr", "alphas")):
     """Nonnegative coordinates of a degree over a delta sequence, with the
     tail entries reduced modulo the gcd-chain quotients (which makes them
     unique)."""
 
-    alphas: tuple
+    __slots__ = ()
 
 
 class _Budget:

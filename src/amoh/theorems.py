@@ -15,7 +15,7 @@ intermediate identities exactly rather than trusting the endpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InternalInconsistency,
@@ -35,27 +35,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrongAmReport:
-    applicable: bool
-    a: int
-    u_degree: int
-    v_degree: int
-    u_witness: BivarExpr | None
-    v_witness: BivarExpr | None
-    divisibility_holds: bool
+StrongAmReport = namedtuple(
+    "StrongAmReport",
+    "applicable a u_degree v_degree u_witness v_witness divisibility_holds",
+)
 
-
-@dataclass(frozen=True)
-class Prop22Report:
-    condition_221_holds: bool
-    a: object
-    condition_222_holds: bool
-    b: object
-    is_line: bool
-    canonical_c: object
-    canonical_b: object
-    derived_derivatives_verified: bool
+Prop22Report = namedtuple(
+    "Prop22Report",
+    "condition_221_holds a condition_222_holds b is_line canonical_c canonical_b "
+    "derived_derivatives_verified",
+)
 
 
 def _witness(alphas, deltas, basis) -> BivarExpr:

@@ -105,6 +105,27 @@ class TestParsePoly:
         assert status == 1
         assert "number is too large" in json.loads(out)["error"]
 
+    def test_expansion_cost_predicted_before_expansion(self, capsys):
+        # Degree and coefficient size are each within their bounds here,
+        # but expanding either takes seconds.
+        for text, pos in (("((1+z)^2048)^3", 7), ("(z^2+1)^2500", 8)):
+            start = time.process_time()
+            status, out, _ = run_cli(capsys, "sagbi", "--f", text, "--g", "z", "--json")
+            assert time.process_time() - start < 1.0
+            assert status == 1
+            assert "too costly" in json.loads(out)["error"]
+            with pytest.raises(ParseError) as info:
+                parse_poly(text)
+            assert info.value.position == pos
+
+    def test_long_dense_input_within_cost_bound(self):
+        # The bound is on each product and power, so an input written out
+        # term by term parses at any length within the degree bound.
+        p = Poly([(-1) ** k * (2**63 - 3 * k) for k in range(1001)])
+        start = time.process_time()
+        assert parse_poly(render_poly(p)) == p
+        assert time.process_time() - start < 2.0
+
     def test_plane_x_degree_predicted_before_expansion(self, capsys):
         for text in ("(x^4096)^16", "(x^4096)^4096", "x^4000*x^4000*x^4000*y"):
             start = time.perf_counter()
@@ -378,6 +399,23 @@ class TestTotality:
     def test_arbitrary_unicode_never_crashes(self, text):
         status = main(["member", "--u", text, "--f", "z", "--g", "z^2"])
         assert status in (0, 1, 2)
+
+
+class TestImportCost:
+    def test_cli_imports_no_dataclasses(self):
+        # Compared with the modules loaded before, so a site hook that
+        # imports these itself does not count against amoh.
+        code = (
+            "import json, sys; b = set(sys.modules); import amoh.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - b)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        added = json.loads(proc.stdout)
+        assert "amoh.cli" in added
+        assert "dataclasses" not in added
+        assert "inspect" not in added
 
 
 class TestEnvironmentCap:

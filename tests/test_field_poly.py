@@ -14,6 +14,7 @@ from amoh import (
     Poly,
     RatFunc,
     eval_bivariate,
+    parse_poly,
     poly_divmod,
 )
 from amoh.field_poly import _KRONECKER_MIN_TERMS, _kronecker_mul, _schoolbook_mul
@@ -270,6 +271,36 @@ class TestPowers:
         for n in range(10):
             assert e**n == acc
             acc = acc * e
+
+    @pytest.mark.parametrize(
+        "c", [Fraction(1), Fraction(-3), Fraction(2, 7), Fraction(2**70, 3**40)]
+    )
+    def test_monomial_pow_matches_repeated_product(self, c):
+        for d in range(6):
+            p = (Z**d).scale(c) if d else const(c)
+            acc = Poly.one(Fraction)
+            for n in range(10):
+                assert p**n == acc
+                acc = acc * p
+            acc = p
+            for _ in range(12):
+                acc = acc * acc
+            assert p**4096 == acc
+
+    def test_ratfunc_variable_pow_matches_repeated_product(self):
+        y = Poly.variable(RatFunc)
+        acc = Poly.one(RatFunc)
+        for k in range(7):
+            assert y**k == acc
+            acc = acc * y
+
+    def test_parsed_sparse_sum_matches_poly_arithmetic(self):
+        terms = [(Fraction((-1) ** k * (k + 1), k % 5 + 1), 7 * k + k % 3) for k in range(40)]
+        text = " + ".join(f"({c})*z^{e}" for c, e in terms)
+        expected = Poly.zero(Fraction)
+        for c, e in terms:
+            expected = expected + const(c) * Z**e
+        assert parse_poly(text) == expected
 
 
 class TestRatFunc:
