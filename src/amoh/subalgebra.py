@@ -27,7 +27,10 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
+from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import mul, sub
 
 from .errors import (
     InternalInconsistency,
@@ -36,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     TrivialAlgebra,
 )
-from .field_poly import BivarExpr, Poly, _cached_power
+from .field_poly import BivarExpr, Poly, RatFunc, _cached_power
 
 __all__ = [
     "SagbiElement",
@@ -94,16 +97,45 @@ class SagbiElement(_Frozen):
 def _expand(recipe) -> BivarExpr:
     """Sum over the (coeff, ((source, exponent), ...)) terms of a recipe of
     coeff times the product of the sources' provenances to their exponents.
-    A source is an earlier element or the generator X or Y itself."""
-    out = BivarExpr.zero()
+    A source is an earlier element or the generator X or Y itself.
+
+    Each scaled term goes into one numerator dict over a running lcm
+    denominator, as BivarExpr stores an expression; a key that cancels is
+    popped, as BivarExpr._add does, so the terms keep the order of a
+    sequential sum.  A RatFunc coefficient or term turns the sum into one
+    over RatFunc, whose denominator stays 1."""
+    acc, den, field = {}, 1, Fraction
     for coeff, factors in recipe:
+        if not coeff and (factors or not isinstance(coeff, RatFunc)):
+            # a zero multiple adds nothing; a zero RatFunc constant still
+            # makes the sum one over RatFunc, as BivarExpr.const does
+            continue
         term = None
         for src, e in factors:
             gen = isinstance(src, BivarExpr)
             p = src**e if gen else _cached_power(src._pows, src.provenance, e)
             term = p if term is None else term * p
-        out = out + (BivarExpr.const(coeff) if term is None else term.scale(coeff))
-    return out
+        if term is None:
+            term = BivarExpr.const(1)
+        if field is Fraction and (term.field is RatFunc or isinstance(coeff, RatFunc)):
+            acc = {k: RatFunc(Fraction(v, den)) for k, v in acc.items()}
+            den, field = 1, RatFunc
+        nums, tden = term._over(field)
+        if field is Fraction:
+            # coeff * nums / tden over the running lcm of the denominators
+            tden *= coeff.denominator
+            lcm = math.lcm(den, tden)
+            if lcm != den:
+                acc = {k: v * (lcm // den) for k, v in acc.items()}
+                den = lcm
+            coeff = coeff.numerator * (den // tden)
+        for k, v in nums.items():
+            s = acc.get(k, 0) + v * coeff
+            if s:
+                acc[k] = s
+            else:
+                acc.pop(k, None)
+    return BivarExpr._make(acc, den, field)
 
 
 class SagbiBasis(namedtuple("SagbiBasis", "elements f g"), _Frozen):
@@ -272,22 +304,41 @@ class _Reducer:
     def reduce(self, u: Poly):
         """Subduct u; returns (remainder, consumed) with consumed a recipe
         and u = eval(_expand(consumed)) + remainder.  The remainder is
-        constant or has leading degree outside the degree semigroup."""
-        if u.field is not self.field:
+        constant or has leading degree outside the degree semigroup.
+
+        The remainder is one list of numerators over one denominator d, as
+        Poly stores it; each step is one multiply-subtract pass over it,
+        and it becomes a Poly, in lowest terms, only at the end."""
+        field = self.field
+        if u.field is not field:
             raise TypeError("polynomial is over a different field than the basis")
-        r = u
+        nums, d = list(u.nums), u.den
         consumed = []
-        while not r.is_constant:
-            got = self.product(r.degree)
+        while len(nums) > 1:
+            got = self.product(len(nums) - 1)
             if got is None:
                 break
             if self.budget is not None:
                 self.budget.tick("subduction")
-            lead = r.lead
             prod, factors = got
-            r = r - prod.scale(lead)
-            consumed.append((lead, factors))
-        return r, tuple(consumed)
+            top = nums.pop()
+            consumed.append((Fraction(top, d) if field is Fraction else top, factors))
+            # r - (top / d) * prod, with prod = pnums / dp monic (lead dp):
+            # over d * s, with s = dp / gcd(top, dp), it is
+            # s * nums - (top * s / dp) * pnums, and the tops cancel
+            dp = prod.den
+            rest = nums
+            if dp != 1:
+                g = math.gcd(top, dp)
+                top //= g
+                s = dp // g
+                if s != 1:
+                    d *= s
+                    rest = map(mul, nums, repeat(s))
+            nums = list(map(sub, rest, map(mul, prod.nums, repeat(top))))
+            while nums and not nums[-1]:
+                nums.pop()
+        return Poly._make(nums, d, field), tuple(consumed)
 
 
 def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):

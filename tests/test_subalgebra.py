@@ -6,6 +6,7 @@ semigroup representations are compared against exhaustive enumeration.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -195,6 +196,44 @@ class TestMembership:
         assert again == first
         assert [r.member for r in first] == [False, False, True, True]
 
+    def test_warm_subduction_builds_no_intermediate_polys(self, example_curve, monkeypatch):
+        # the remainder is one numerator list, changed in place; no Poly sum
+        # or scaling per step
+        f, g = example_curve
+        queries = (f**3 * g**4 - f.scale(2) + g**2, f**3 * g**4 - f.scale(2) + g**2 + Z)
+        first = [is_member(u, f, g, certify=c) for u in queries for c in (True, False)]
+        calls = []
+        for name in ("_add", "scale"):
+            original = getattr(Poly, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(Poly, name, counting)
+        again = [is_member(u, f, g, certify=c) for u in queries for c in (True, False)]
+        assert calls == []
+        assert again == first
+        assert [r.member for r in first] == [True, True, False, False]
+
+    def test_certificate_sum_adds_no_expressions(self, monkeypatch):
+        # _expand sums the recipe into one numerator dict, so certifying
+        # (completion and provenances included) never adds two expressions
+        calls = []
+        original = BivarExpr._add
+
+        def counting(self, other, op):
+            calls.append(1)
+            return original(self, other, op)
+
+        monkeypatch.setattr(BivarExpr, "_add", counting)
+        f, g = Z**4 + Z.scale(Fraction(1, 3)), Z**6 - (Z**3).scale(Fraction(2, 5)) + const(1)
+        u = f**3 * g - g.scale(Fraction(7, 2)) + f**2
+        res = is_member(u, f, g)
+        assert calls == []
+        assert res.member
+        assert eval_bivariate(res.certificate, f, g) == u
+
     def test_constant_query(self, example_curve):
         f, g = example_curve
         res = is_member(const(5), f, g)
@@ -237,6 +276,234 @@ class TestMembership:
         prod = is_member(u * v, f, g)
         assert prod.member
         assert eval_bivariate(prod.certificate, f, g) == u * v
+
+
+def _reference_subduct(reducer, u):
+    """Subduction step by step with public Poly arithmetic: subtract the
+    lead times the monic product of the lead degree until the degree
+    leaves the semigroup or the remainder is constant."""
+    r, consumed = u, []
+    while not r.is_constant:
+        got = reducer.product(r.degree)
+        if got is None:
+            break
+        prod, factors = got
+        consumed.append((r.lead, factors))
+        r = r - prod.scale(r.lead)
+    return r, tuple(consumed)
+
+
+def _rational_pair():
+    # monic products of these have denominators 21^a * 55^b, never 1
+    f = Z**2 + Z.scale(Fraction(1, 3)) + const(Fraction(2, 7))
+    g = Z**3 - (Z**2).scale(Fraction(3, 11)) + Z.scale(Fraction(1, 5))
+    return f, g
+
+
+def _random_poly(rng, degree, lead):
+    return Poly(
+        [Fraction(rng.randint(-99, 99), rng.randint(1, 97)) for _ in range(degree)] + [lead]
+    )
+
+
+class TestSubductionKernel:
+    """_Reducer.reduce against a reference written with public Poly
+    arithmetic: the same remainder, the same consumed recipe (exact leads,
+    identical factor tuples) and the same number of budget ticks."""
+
+    def _check(self, f, g, queries):
+        from amoh.subalgebra import _Budget, _Reducer
+
+        basis = sagbi_basis(f, g)
+        cap = 10**9
+        for u in queries:
+            budget = _Budget(cap)
+            reducer = _Reducer(basis.elements, f.field, budget)
+            r, consumed = reducer.reduce(u)
+            want_r, want_consumed = _reference_subduct(reducer, u)
+            assert r == want_r
+            assert len(consumed) == len(want_consumed)
+            for (lead, factors), (want_lead, want_factors) in zip(consumed, want_consumed):
+                assert type(lead) is type(want_lead) and lead == want_lead
+                assert factors is want_factors
+            assert cap - budget.remaining == len(want_consumed)
+            # the warm basis reducer agrees too
+            assert basis._reducer.reduce(u) == (r, consumed)
+        return basis
+
+    def test_rational_basis_members_and_non_members(self):
+        f, g = _rational_pair()
+        rng = random.Random(17)
+        members = [
+            f**4 * g**3 - g.scale(Fraction(5, 13)) + f**2,
+            (f * g).scale(Fraction(-22, 9)) + const(Fraction(3, 4)),
+        ]
+        non_members = [_random_poly(rng, d, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+                       for d in (7, 30, 61)]
+        basis = self._check(f, g, members + non_members)
+        # the product denominators really are not 1
+        assert all(basis._reducer.product(d)[0].den != 1 for d in range(2, 12))
+        for u in members:
+            assert is_member(u, f, g).member
+
+    def test_negative_leads(self):
+        f, g = _rational_pair()
+        rng = random.Random(29)
+        queries = [
+            _random_poly(rng, d, Fraction(-rng.randint(1, 50), rng.randint(1, 50)))
+            for d in (5, 18, 40)
+        ]
+        queries.append((f**5 - g**2).scale(Fraction(-7, 6)))
+        self._check(f, g, queries)
+        self._check(Z**3, Z**6 + Z**2, [Poly([1, -2, 0, -5, 0, 3, -9, 0, -4])])
+
+    def test_unrelated_denominators_over_integer_basis(self):
+        rng = random.Random(41)
+        f, g = Z**3, Z**5 + Z**2
+        queries = [_random_poly(rng, d, Fraction(rng.choice((-1, 1)), rng.randint(1, 97)))
+                   for d in (9, 25, 50)]
+        queries.append(f**3 * g**2 - g.scale(Fraction(8, 3)))
+        self._check(f, g, queries)
+
+    def test_basis_over_ratfunc(self):
+        from amoh import RatFunc
+        from amoh.jacobian import random_tame_automorphism
+
+        # the y-partials of prop21_probe pairs: each basis is {y + c(x)}
+        for seed in (1, 3, 6):
+            bf, bg = random_tame_automorphism(seed, 4)
+            f, g = bf.yp, bg.yp
+            y = Poly.variable(RatFunc)
+            queries = [bf.partial_y().yp, bg.partial_y().yp, f * g - g, y**7 + f]
+            self._check(f, g, queries)
+        # a basis of degrees (2, 3) over k(x), with non-polynomial leads
+        x = RatFunc.x()
+        y = Poly.variable(RatFunc)
+        f = (y**2).scale(x)
+        g = y**3 + y.scale(x / (x + 1))
+        basis = self._check(f, g, [
+            (f**3 * g).scale(-x) + g.scale(RatFunc(Poly.one(Fraction), Poly([2, 0, 1]))),
+            y**9 - (y**4).scale(x**2) + y,
+        ])
+        assert basis.degrees == (2, 3)
+
+    def test_deferred_gcd_on_a_dense_non_member(self):
+        # the common denominator is only reduced once, at the end; that
+        # must leave the remainder in lowest terms and cost no more than
+        # the per-step Poly arithmetic of the reference
+        from amoh.subalgebra import _Reducer
+
+        f, g = _rational_pair()
+        rng = random.Random(800)
+        u = _random_poly(rng, 800, Fraction(1, 2))
+        basis = sagbi_basis(f, g)
+        reducer = _Reducer(basis.elements, Fraction)
+        start = time.process_time()
+        r, consumed = reducer.reduce(u)
+        kernel_s = time.process_time() - start
+        # the reference reuses the products the kernel already built
+        start = time.process_time()
+        want_r, want_consumed = _reference_subduct(reducer, u)
+        reference_s = time.process_time() - start
+        assert r.degree == want_r.degree == 1
+        assert r == want_r and consumed == want_consumed
+        assert math.gcd(r.den, *r.nums) == 1 and r.nums[-1]
+        assert kernel_s < reference_s
+
+
+def _sequential_expand(recipe):
+    """A recipe summed one scaled term at a time with BivarExpr's +."""
+    out = BivarExpr.zero()
+    for coeff, factors in recipe:
+        term = None
+        for src, e in factors:
+            p = src**e if isinstance(src, BivarExpr) else src.provenance**e
+            term = p if term is None else term * p
+        out = out + (BivarExpr.const(coeff) if term is None else term.scale(coeff))
+    return out
+
+
+class TestExpand:
+    """_expand against the sequential sum it replaces: equal, over the same
+    field, with the terms in the same order."""
+
+    def _check(self, recipe):
+        from amoh.subalgebra import _expand
+
+        got = _expand(recipe)
+        want = _sequential_expand(recipe)
+        assert got == want
+        assert got.field is want.field
+        assert list(got.terms) == list(want.terms)
+        assert got.nums == want.nums and got.den == want.den
+        return got
+
+    def test_key_cancels_and_comes_back(self):
+        X, Y = BivarExpr.X(), BivarExpr.Y()
+        got = self._check((
+            (Fraction(2, 3), ((X, 1),)),
+            (1, ((Y, 2),)),
+            (Fraction(-2, 3), ((X, 1),)),
+            (Fraction(5, 7), ((X, 1), (Y, 1))),
+            (3, ((X, 1),)),
+        ))
+        assert list(got.terms) == [(0, 2), (1, 1), (1, 0)]
+
+    def test_constants_and_zero_coefficients(self):
+        X, Y = BivarExpr.X(), BivarExpr.Y()
+        self._check((
+            (Fraction(3, 4), ()),
+            (0, ((X, 2),)),
+            (Fraction(1, 6), ((Y, 1),)),
+            (Fraction(0), ((Y, 3),)),
+            (Fraction(-3, 4), ()),
+            (2, ()),
+        ))
+        self._check(((Fraction(0), ()),))
+        self._check(())
+
+    def test_provenance_sources(self):
+        f, g = _rational_pair()
+        basis = sagbi_basis(f, g)
+        recipe = tuple(
+            (Fraction(k - 3, k + 2), ((el, k % 3 + 1),) + ((basis.elements[0], 1),) * (k % 2))
+            for k, el in enumerate(basis.elements * 3)
+        )
+        got = self._check(recipe)
+        u = Poly.zero(Fraction)
+        for c, factors in recipe:
+            term = const(1)
+            for el, e in factors:
+                term = term * el.poly**e
+            u = u + term.scale(c)
+        assert eval_bivariate(got, f, g) == u
+
+    def test_ratfunc_coefficients_mixed_with_rational_terms(self):
+        from amoh import RatFunc
+
+        X, Y = BivarExpr.X(), BivarExpr.Y()
+        x = RatFunc.x()
+        over_x = BivarExpr.monomial(0, 1, RatFunc(Poly.one(Fraction), Poly([1, 1])))
+        self._check((
+            (Fraction(1, 2), ((X, 2),)),
+            (3, ()),
+            (x, ((X, 2),)),
+            (Fraction(-1, 2), ((X, 2),)),
+            (1, ((over_x, 1),)),
+            (-x, ((X, 2),)),
+            (RatFunc(0), ((Y, 1),)),
+            (Fraction(2, 9), ((Y, 1),)),
+        ))
+        # a RatFunc sum that cancels to nothing stays over RatFunc, and so
+        # does a zero RatFunc constant, as in is_member over k(x); a zero
+        # RatFunc multiple of a product adds nothing
+        got = self._check(((x, ((Y, 1),)), (-x, ((Y, 1),))))
+        assert got.is_zero and got.field is RatFunc
+        got = self._check(((1, ((Y, 1),)), (RatFunc(0), ())))
+        assert got.field is RatFunc
+        got = self._check(((x, ()), (RatFunc(0), ())))
+        assert list(got.terms) == [(0, 0)]
+        assert self._check(((RatFunc(0), ((Y, 1),)),)).field is Fraction
 
 
 class TestBruteForceOracle:
