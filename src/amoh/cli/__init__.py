@@ -29,7 +29,7 @@ from ..errors import (
     ParseError,
     PreconditionViolated,
 )
-from ..field_poly import BivarExpr, Poly
+from ..field_poly import BivarExpr, Poly, RatFunc
 from ..jacobian import BiPoly, prop21_probe
 from ..line import is_line, random_line_curve
 from ..subalgebra import delta_sequence, is_member, sagbi_basis, semigroup_represent
@@ -40,11 +40,12 @@ __all__ = ["parse_poly", "render_poly", "main", "run"]
 MAX_EXPONENT = 4096
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 16_384
-# Bound on the cost of a product or power: (degree + 1) * coefficient bits
-# of its result (times x-degree + 1 for planar inputs), about the size in
-# bits of the dense result.  The time to expand grows faster than linearly
-# in it: powers of cost 3.9 to 4.2 million, (1+z)^2000 among them, took
-# 0.26 to 0.52 s of CPU on a 2-vCPU Xeon with CPython 3.11.7.
+# Bound on the summed cost of the products and powers of one input: the
+# predicted nonzero terms (at most degree + 1) times coefficient bits of
+# each result, times x-degree + 1 for planar inputs, about the size in bits
+# of the results.  The time to expand grows faster than linearly in it:
+# powers of cost 3.9 to 4.2 million, (1+z)^2000 among them, took 0.26 to
+# 0.52 s of CPU on a 2-vCPU Xeon with CPython 3.11.7.
 MAX_EXPAND_COST = 1 << 22
 MAX_PAREN_DEPTH = 200
 
@@ -93,6 +94,7 @@ class _Parser:
         self.atoms = atoms
         self.const = const
         self.depth = 0
+        self.cost = 0
 
     def _peek(self):
         return self.tokens[self.pos]
@@ -110,19 +112,22 @@ class _Parser:
 
     @staticmethod
     def _size(value):
-        """(degree, x-degree, numerator bits, denominator bits) of a value.
+        """(degree, x-degree, numerator bits, denominator bits, terms) of a
+        value.
 
         The degree is in z (in y for BiPoly); zero counts as degree 0.
         Write the value as integer numerators over one common denominator
         D: the bits are log2 of the numerators' absolute sum and log2 D.
         Each entry of a product is at most the sum of the factors'
         entries, and each entry of a power at most the exponent times the
-        base's."""
+        base's.  terms counts the nonzero coefficients (in y for BiPoly)."""
         if isinstance(value, Poly):
             deg, xdeg, polys = value.degree, 0, [value]
+            terms = len(value.nums) - value.nums.count(0)
         else:
             polys = [c.num for c in value.yp.coeffs]
             deg, xdeg = value.y_degree, max((p.degree for p in polys if p), default=0)
+            terms = sum(1 for p in polys if p)
         den = math.lcm(*(p.den for p in polys))
         norm = sum(sum(map(abs, p.nums)) * (den // p.den) for p in polys)
         return (
@@ -130,20 +135,21 @@ class _Parser:
             xdeg,
             math.log2(norm) if norm else 0.0,
             math.log2(den),
+            terms,
         )
 
-    @staticmethod
-    def _limit(size, pos):
+    def _charge(self, deg, xdeg, num_bits, den_bits, terms, pos):
         # Products and powers are checked on their predicted size before
-        # they are computed.  A sum is no larger than its operands put
-        # together, so the length of the input bounds it.
-        deg, xdeg, num_bits, den_bits = size
+        # they are computed, and their costs add up over the input.  A sum
+        # is no larger than its operands put together, so the length of the
+        # input bounds it.
         if max(deg, xdeg) > MAX_DEGREE:
             raise ParseError("expression degree is too large", pos)
         bits = max(num_bits, den_bits)
         if bits > MAX_COEFF_BITS:
             raise ParseError("expression coefficients are too large", pos)
-        if (deg + 1) * (xdeg + 1) * max(bits, 1) > MAX_EXPAND_COST:
+        self.cost += min(terms, deg + 1) * (xdeg + 1) * max(bits, 1)
+        if self.cost > MAX_EXPAND_COST:
             raise ParseError("expression is too costly to expand", pos)
 
     def parse(self):
@@ -176,7 +182,8 @@ class _Parser:
                 return acc
             self._take()
             rhs = self.factor()
-            self._limit([a + b for a, b in zip(self._size(acc), self._size(rhs))], pos)
+            (da, xa, na, ea, ta), (db, xb, nb, eb, tb) = self._size(acc), self._size(rhs)
+            self._charge(da + db, xa + xb, na + nb, ea + eb, ta * tb, pos)
             acc = acc * rhs
 
     def factor(self):
@@ -193,7 +200,11 @@ class _Parser:
         self._take()
         if value > MAX_EXPONENT:
             raise ParseError("exponent is too large", pos)
-        self._limit([v * value for v in self._size(base)], pos)
+        deg, xdeg, num_bits, den_bits, terms = self._size(base)
+        # a power has at most one term per monomial of degree `value` in
+        # `terms` unknowns
+        monomials = math.comb(terms + value - 1, value) if terms else 0
+        self._charge(deg * value, xdeg * value, num_bits * value, den_bits * value, monomials, pos)
         return base**value
 
     def atom(self):
@@ -320,74 +331,63 @@ def _cert_terms(expr: BivarExpr):
     ]
 
 
+def _json_value(value):
+    """Expressions as term lists, scalars as exact strings, the rest as is."""
+    if isinstance(value, BivarExpr):
+        return _cert_terms(value)
+    if isinstance(value, (Fraction, RatFunc)):
+        return _scalar_str(value)
+    return value
+
+
+def _record_obj(record, drop_none=False):
+    return {
+        key: _json_value(value)
+        for key, value in record._asdict().items()
+        if value is not None or not drop_none
+    }
+
+
 def _tuple_str(xs) -> str:
     return "(" + ", ".join(str(x) for x in xs) + ")"
 
 
-def _emit(obj, as_json: bool, text_lines):
-    if as_json:
-        print(json.dumps(obj))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# A handler gets the arguments and, if its command has inputs, the parsed
+# --f and --g.  It returns (JSON object, text lines) for main to print, or
+# the exit status when it prints its own lines.
 
-def _reason_obj(reason):
-    out = {"kind": reason.kind}
-    for key in ("which", "m", "n", "deg_h"):
-        value = getattr(reason, key)
-        if value is not None:
-            out[key] = value
-    return out
-
-
-def _reason_text(reason) -> str:
-    detail = ", ".join(
-        f"{key}={getattr(reason, key)}"
-        for key in ("which", "m", "n", "deg_h")
-        if getattr(reason, key) is not None
-    )
-    return reason.kind + (f" ({detail})" if detail else "")
+def _reason_text(obj) -> str:
+    detail = ", ".join(f"{key}={value}" for key, value in obj.items() if key != "kind")
+    return obj["kind"] + (f" ({detail})" if detail else "")
 
 
-def _cmd_is_line(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_is_line(args, f, g):
     verdict = is_line(f, g)
-    obj = {
-        "is_line": verdict.is_line,
-        "reason": _reason_obj(verdict.reason),
-        "inverse": _cert_terms(verdict.inverse) if verdict.inverse is not None else None,
-    }
+    reason = _record_obj(verdict.reason, drop_none=True)
+    obj = {"is_line": verdict.is_line, "reason": reason, "inverse": _json_value(verdict.inverse)}
     lines = [f"line: {'yes' if verdict.is_line else 'no'}"]
     if verdict.inverse is not None:
         lines.append(f"inverse: {render_expr(verdict.inverse)}")
     if not verdict.is_line:
-        lines.append(f"reason: {_reason_text(verdict.reason)}")
-    _emit(obj, args.json, lines)
-    return 0
+        lines.append(f"reason: {_reason_text(reason)}")
+    return obj, lines
 
 
 def _member_obj(res):
-    if res.member:
-        return {"member": True, "certificate": _cert_terms(res.certificate)}
-    return {"member": False, "obstruction_degree": res.obstruction_degree}
+    return _record_obj(res, drop_none=True)
 
 
-def _member_text(res):
-    if res.member:
-        return [f"member: yes", f"certificate: {render_expr(res.certificate)}"]
-    return [f"member: no (obstruction at degree {res.obstruction_degree})"]
-
-
-def _cmd_member(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_member(args, f, g):
     if args.u != "-":
         res = is_member(parse_poly(args.u), f, g)
-        _emit(_member_obj(res), args.json, _member_text(res))
-        return 0
+        if res.member:
+            lines = ["member: yes", f"certificate: {render_expr(res.certificate)}"]
+        else:
+            lines = [f"member: no (obstruction at degree {res.obstruction_degree})"]
+        return _member_obj(res), lines
     # batch: one query polynomial per line, blank lines skipped
     status = 0
     for raw in sys.stdin:
@@ -412,8 +412,7 @@ def _cmd_member(args) -> int:
     return status
 
 
-def _cmd_sagbi(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_sagbi(args, f, g):
     basis = sagbi_basis(f, g)
     obj = {
         "degrees": list(basis.degrees),
@@ -430,45 +429,33 @@ def _cmd_sagbi(args) -> int:
         f"degree {el.degree}: {render_poly(el.poly)} (from {render_expr(el.provenance)})"
         for el in basis.elements
     ]
-    _emit(obj, args.json, lines)
-    return 0
+    return obj, lines
 
 
-def _cmd_delta(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_delta(args, f, g):
     seq = delta_sequence(f, g)
-    obj = {"deltas": list(seq.deltas), "ds": list(seq.ds), "h": seq.h}
-    lines = [
-        f"delta = {_tuple_str(seq.deltas)}",
-        f"d = {_tuple_str(seq.ds)}",
-        f"h = {seq.h}",
-    ]
-    _emit(obj, args.json, lines)
-    return 0
+    lines = [f"delta = {_tuple_str(seq.deltas)}", f"d = {_tuple_str(seq.ds)}", f"h = {seq.h}"]
+    return _record_obj(seq), lines
 
 
-def _cmd_represent(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_represent(args, f, g):
     seq = delta_sequence(f, g)
     deltas = _tuple_str(seq.deltas)
     try:
         rep = semigroup_represent(args.degree, seq)
     except NotInSemigroup:
         obj = {"representable": False, "degree": args.degree, "deltas": list(seq.deltas)}
-        _emit(obj, args.json, [f"degree {args.degree} is not representable over δ = {deltas}"])
-        return 0
+        return obj, [f"degree {args.degree} is not representable over δ = {deltas}"]
     obj = {
         "representable": True,
         "degree": args.degree,
         "alphas": list(rep.alphas),
         "deltas": list(seq.deltas),
     }
-    _emit(obj, args.json, [f"α = {_tuple_str(rep.alphas)} over δ = {deltas}"])
-    return 0
+    return obj, [f"α = {_tuple_str(rep.alphas)} over δ = {deltas}"]
 
 
-def _cmd_decompose(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_decompose(args, f, g):
     dec = common_parameter(f, g)
     obj = {
         "h": render_poly(dec.h),
@@ -481,20 +468,11 @@ def _cmd_decompose(args) -> int:
         f"f = f~(h) with f~ = {render_poly(dec.f_tilde, 'w')}",
         f"g = g~(h) with g~ = {render_poly(dec.g_tilde, 'w')}",
     ]
-    _emit(obj, args.json, lines)
-    return 0
+    return obj, lines
 
 
 def _strong_am_obj(rep):
-    return {
-        "a": rep.a,
-        "applicable": rep.applicable,
-        "u_degree": rep.u_degree,
-        "v_degree": rep.v_degree,
-        "u_witness": _cert_terms(rep.u_witness) if rep.u_witness is not None else None,
-        "v_witness": _cert_terms(rep.v_witness) if rep.v_witness is not None else None,
-        "divisibility_holds": rep.divisibility_holds,
-    }
+    return {"a": rep.a, **_record_obj(rep)}
 
 
 def _strong_am_text(rep) -> str:
@@ -506,35 +484,18 @@ def _strong_am_text(rep) -> str:
     )
 
 
-def _cmd_strong_am(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_strong_am(args, f, g):
     if args.a is not None:
         rep = check_strong_am(f, g, args.a)
-        _emit(_strong_am_obj(rep), args.json, [_strong_am_text(rep)])
-        return 0
+        return _strong_am_obj(rep), [_strong_am_text(rep)]
     top = min(f.degree, g.degree) if not f.is_constant and not g.is_constant else 0
     reports = [check_strong_am(f, g, a) for a in range(1, top + 1)]
-    _emit(
-        {"reports": [_strong_am_obj(r) for r in reports]},
-        args.json,
-        [_strong_am_text(r) for r in reports] or ["no admissible a"],
-    )
-    return 0
+    obj = {"reports": [_strong_am_obj(r) for r in reports]}
+    return obj, [_strong_am_text(r) for r in reports] or ["no admissible a"]
 
 
-def _cmd_prop22(args) -> int:
-    f, g = parse_poly(args.f), parse_poly(args.g)
+def _cmd_prop22(args, f, g):
     rep = check_prop22(f, g)
-    obj = {
-        "condition_221_holds": rep.condition_221_holds,
-        "a": _scalar_str(rep.a) if rep.a is not None else None,
-        "condition_222_holds": rep.condition_222_holds,
-        "b": _scalar_str(rep.b) if rep.b is not None else None,
-        "is_line": rep.is_line,
-        "canonical_c": _scalar_str(rep.canonical_c) if rep.canonical_c is not None else None,
-        "canonical_b": _scalar_str(rep.canonical_b) if rep.canonical_b is not None else None,
-        "derived_derivatives_verified": rep.derived_derivatives_verified,
-    }
     lines = [
         "derivative combination n*f'*g - m*f*g' constant: "
         + (f"yes (a = {_scalar_str(rep.a)})" if rep.condition_221_holds else "no"),
@@ -547,31 +508,24 @@ def _cmd_prop22(args) -> int:
             f"canonical form: f = z + c, g = (z+c)^n - b with "
             f"c = {_scalar_str(rep.canonical_c)}, b = {_scalar_str(rep.canonical_b)}"
         )
-    _emit(obj, args.json, lines)
-    return 0
+    return _record_obj(rep), lines
 
 
-def _cmd_jacobian_probe(args) -> int:
-    f, g = _parse_plane(args.f), _parse_plane(args.g)
+def _cmd_jacobian_probe(args, f, g):
     rep = prop21_probe(f, g)
     obj = {
         "jacobian_constant": rep.jacobian_constant,
         "fy_member": rep.fy_member.member,
         "gy_member": rep.gy_member.member,
-        "fy_certificate": _cert_terms(rep.fy_member.certificate)
-        if rep.fy_member.certificate is not None
-        else None,
-        "gy_certificate": _cert_terms(rep.gy_member.certificate)
-        if rep.gy_member.certificate is not None
-        else None,
+        "fy_certificate": _json_value(rep.fy_member.certificate),
+        "gy_certificate": _json_value(rep.gy_member.certificate),
     }
     lines = [
         f"jacobian determinant constant: {'yes' if rep.jacobian_constant else 'no'}",
         f"f_y in k(x)[f, g]: {'yes' if rep.fy_member.member else 'no'}",
         f"g_y in k(x)[f, g]: {'yes' if rep.gy_member.member else 'no'}",
     ]
-    _emit(obj, args.json, lines)
-    return 0
+    return obj, lines
 
 
 def corpus_pairs(count: int, seed: int):
@@ -623,53 +577,57 @@ def _cmd_gen_corpus(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+# name: (help, handler, input kind, extra value options).  The input kind
+# says how main parses --f and --g: "z" as curves through parse_poly,
+# "x, y" as plane maps through _parse_plane, None for no inputs.  main looks the
+# parsers up by name, so a wrapper installed on the module sees every parse.
+_COMMANDS = {
+    "is-line": ("decide whether (f, g) is an embedded line", _cmd_is_line, "z", {}),
+    "member": ("test u for membership in k[f, g]", _cmd_member, "z", {
+        "--u": dict(required=True, help="query polynomial in z, or - to read one per stdin line"),
+    }),
+    "sagbi": ("completed basis of k[f, g] with provenances", _cmd_sagbi, "z", {}),
+    "delta": ("degree semigroup delta and gcd sequences", _cmd_delta, "z", {}),
+    "represent": ("write a degree over the delta sequence", _cmd_represent, "z", {
+        "--degree": dict(required=True, type=int, help="degree to represent"),
+    }),
+    "decompose": ("maximal common inner composition factor", _cmd_decompose, "z", {}),
+    "strong-am": ("degree divisibility from two low-drop members", _cmd_strong_am, "z", {
+        "--a": dict(type=int, help="degree drop; omitted sweeps all"),
+    }),
+    "prop22": ("constant-combination line test for monic pairs", _cmd_prop22, "z", {}),
+    "jacobian-probe": (
+        "Jacobian and y-derivative memberships over k(x)", _cmd_jacobian_probe, "x, y", {}
+    ),
+    "gen-corpus": ("write a line-delimited JSON curve corpus", _cmd_gen_corpus, None, {
+        "--count": dict(type=int, default=200, help="number of curves"),
+        "--seed": dict(type=int, default=0, help="generator seed"),
+        "--out": dict(default="-", help="output path, - for stdout"),
+    }),
+}
+
+_VALUE_FLAGS = frozenset({"--f", "--g"}.union(*(spec[3] for spec in _COMMANDS.values())))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="amoh",
         description="Exact checks for embedded plane lines k[f(z), g(z)] = k[z].",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    def curve_command(name, help_text, handler):
+    for name, (help_text, _, kind, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--f", required=True, help="first generator, a polynomial in z")
-        p.add_argument("--g", required=True, help="second generator, a polynomial in z")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.set_defaults(handler=handler)
-        return p
-
-    curve_command("is-line", "decide whether (f, g) is an embedded line", _cmd_is_line)
-    p = curve_command("member", "test u for membership in k[f, g]", _cmd_member)
-    p.add_argument(
-        "--u", required=True, help="query polynomial in z, or - to read one per stdin line"
-    )
-    curve_command("sagbi", "completed basis of k[f, g] with provenances", _cmd_sagbi)
-    curve_command("delta", "degree semigroup delta and gcd sequences", _cmd_delta)
-    p = curve_command("represent", "write a degree over the delta sequence", _cmd_represent)
-    p.add_argument("--degree", required=True, type=int, help="degree to represent")
-    curve_command("decompose", "maximal common inner composition factor", _cmd_decompose)
-    p = curve_command("strong-am", "degree divisibility from two low-drop members", _cmd_strong_am)
-    p.add_argument("--a", type=int, default=None, help="degree drop; omitted sweeps all")
-    curve_command("prop22", "constant-combination line test for monic pairs", _cmd_prop22)
-
-    p = sub.add_parser("jacobian-probe", help="Jacobian and y-derivative memberships over k(x)")
-    p.add_argument("--f", required=True, help="first map component, a polynomial in x, y")
-    p.add_argument("--g", required=True, help="second map component, a polynomial in x, y")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(handler=_cmd_jacobian_probe)
-
-    p = sub.add_parser("gen-corpus", help="write a line-delimited JSON curve corpus")
-    p.add_argument("--count", type=int, default=200, help="number of curves")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--out", default="-", help="output path, - for stdout")
-    # the corpus is JSON lines, so its errors are JSON objects too
-    p.set_defaults(handler=_cmd_gen_corpus, json=True)
+        if kind is None:
+            # the corpus is JSON lines, so its errors are JSON objects too
+            p.set_defaults(json=True)
+        else:
+            what = f"{'generator' if kind == 'z' else 'map component'}, a polynomial in {kind}"
+            p.add_argument("--f", required=True, help=f"first {what}")
+            p.add_argument("--g", required=True, help=f"second {what}")
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        for flag, spec in options.items():
+            p.add_argument(flag, **spec)
     return top
-
-
-_VALUE_FLAGS = frozenset(
-    ("--f", "--g", "--u", "--a", "--degree", "--count", "--seed", "--out")
-)
 
 
 def _fuse_leading_minus(argv):
@@ -678,16 +636,11 @@ def _fuse_leading_minus(argv):
     `-` (stdin marker) is left alone.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if tok in _VALUE_FLAGS and nxt is not None and nxt != "-" and nxt.startswith("-"):
-            out.append(f"{tok}={nxt}")
-            i += 2
-            continue
-        out.append(tok)
-        i += 1
+    for tok in argv:
+        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and tok != "-":
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
     return out
 
 
@@ -699,26 +652,42 @@ def main(argv=None) -> int:
         args = parser.parse_args(_fuse_leading_minus(argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    as_json = getattr(args, "json", False)
+    _, handler, kind, _ = _COMMANDS[args.command]
 
     def fail(status, message):
-        if as_json:
+        if args.json:
             print(json.dumps({"error": message}))
         else:
             print(f"error: {message}", file=sys.stderr)
         return status
 
+    # argparse drops a `--` given as an option's value (`--f=--` after the
+    # rewrite above) and leaves an empty list in its place
+    for key, value in vars(args).items():
+        if value == []:
+            return fail(1, f"--{key} needs a value, got --")
     try:
-        return args.handler(args)
-    except ParseError as exc:
-        return fail(1, str(exc))
+        if kind is None:
+            out = handler(args)
+        else:
+            parse = parse_poly if kind == "z" else _parse_plane
+            out = handler(args, parse(args.f), parse(args.g))
     except (InternalInconsistency, InternalLimitExceeded) as exc:
         return fail(2, str(exc))
-    except AmohError as exc:
+    except (MemoryError, RecursionError) as exc:
+        return fail(2, str(exc) or type(exc).__name__)
+    except (AmohError, OSError) as exc:
+        # OSError: unreadable stdin or an unwritable --out path
         return fail(1, str(exc))
-    except OSError as exc:
-        # unreadable stdin or an unwritable --out path
-        return fail(1, str(exc))
+    if isinstance(out, int):
+        return out
+    obj, lines = out
+    if args.json:
+        print(json.dumps(obj))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 def run() -> None:

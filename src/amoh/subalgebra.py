@@ -514,17 +514,11 @@ def brute_force_member(u: Poly, f: Poly, g: Poly, bound: int):
     """Independent membership search by exact linear algebra over all
     products f^i g^j of weight at most bound.  Returns a certificate or
     None; absence within the bound proves nothing."""
-    ech = _echelon_span(f, g, bound)
-    r = u
-    consumed = BivarExpr.zero()
-    while not r.is_zero:
-        row = ech.get(r.degree)
-        if row is None:
-            return None
-        q, qcombo = row
-        c = r.lead
-        r = r - q.scale(c)
-        consumed = consumed + qcombo.scale(c)
+    # the remainder is r = u + eval(combo), so a zero r makes -combo the certificate
+    r, combo = _echelon_insert(_echelon_span(f, g, bound), u, BivarExpr.zero())
+    if not r.is_zero:
+        return None
+    consumed = -combo
     if consumed.eval(f, g) != u:
         raise InternalInconsistency("echelon certificate failed to re-evaluate")
     return consumed

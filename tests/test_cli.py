@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoh import ParseError, Poly, parse_poly, render_poly
-from amoh.cli import corpus_pairs, main
+from amoh.cli import _COMMANDS, _build_parser, _fuse_leading_minus, corpus_pairs, main
 
 from conftest import Z, const
 
@@ -126,6 +126,21 @@ class TestParsePoly:
         assert parse_poly(render_poly(p)) == p
         assert time.process_time() - start < 2.0
 
+    def test_cost_is_summed_over_the_input(self):
+        # Each power is within the bound; together they are not.
+        text = " + ".join(["(1+z)^2000"] * 20)
+        start = time.process_time()
+        with pytest.raises(ParseError) as info:
+            parse_poly(text)
+        assert time.process_time() - start < 1.0
+        assert "too costly" in str(info.value)
+
+    def test_cost_bound_edge(self):
+        assert parse_poly("(1+z)^2000").degree == 2000
+        with pytest.raises(ParseError) as info:
+            parse_poly("(1+z)^2048")
+        assert "too costly" in str(info.value)
+
     def test_plane_x_degree_predicted_before_expansion(self, capsys):
         for text in ("(x^4096)^16", "(x^4096)^4096", "x^4000*x^4000*x^4000*y"):
             start = time.perf_counter()
@@ -228,6 +243,41 @@ class TestGoldenOutputs:
         assert obj["jacobian_constant"] is True
         assert obj["fy_member"] is True and obj["gy_member"] is True
 
+    def test_decompose(self, capsys):
+        argv = ["decompose", "--f", "z^4 + z^2", "--g", "z^6"]
+        assert run_cli(capsys, *argv) == (
+            0,
+            "h = z^2\nf = f~(h) with f~ = w^2 + w\ng = g~(h) with g~ = w^3\n",
+            "",
+        )
+        status, out, _ = run_cli(capsys, *argv, "--json")
+        assert status == 0
+        assert out == (
+            '{"h": "z^2", "f_tilde": "w^2 + w", "g_tilde": "w^3", "faithful": false}\n'
+        )
+
+    def test_strong_am_single_json(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "strong-am", "--a", "1", "--f", "z^3", "--g", "z^6 + z^2", "--json"
+        )
+        assert status == 0
+        assert out == (
+            '{"a": 1, "applicable": true, "u_degree": 2, "v_degree": 5, '
+            '"u_witness": [{"i": 0, "j": 1, "coeff": "1"}, {"i": 2, "j": 0, "coeff": "-1"}], '
+            '"v_witness": [{"i": 1, "j": 1, "coeff": "1"}, {"i": 3, "j": 0, "coeff": "-1"}], '
+            '"divisibility_holds": true}\n'
+        )
+
+    def test_jacobian_probe_rational_certificate(self, capsys):
+        status, out, _ = run_cli(
+            capsys, "jacobian-probe", "--f", "x*y + 1", "--g", "y^2", "--json"
+        )
+        assert status == 0
+        assert json.loads(out)["gy_certificate"] == [
+            {"i": 0, "j": 0, "coeff": "(-2)/(x)"},
+            {"i": 1, "j": 0, "coeff": "(2)/(x)"},
+        ]
+
 
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
@@ -305,6 +355,14 @@ class TestBatchMember:
             proc.stdin.close()
             proc.wait(timeout=30)
         assert proc.returncode == 0
+
+    def test_text_answers_and_bad_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("z^5\n2z\n"))
+        assert run_cli(capsys, "member", "--u", "-", "--f", "z^3", "--g", "z^6 + z^2") == (
+            1,
+            "z^5: member\n2z: error: trailing input at position 1 (expected +, -, *, ^, end)\n",
+            "",
+        )
 
     def test_bad_line_reported_and_flagged(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("z^2\n2z\n"))
@@ -399,6 +457,62 @@ class TestTotality:
     def test_arbitrary_unicode_never_crashes(self, text):
         status = main(["member", "--u", text, "--f", "z", "--g", "z^2"])
         assert status in (0, 1, 2)
+
+    @pytest.mark.parametrize("flag", ["--f", "--g", "--u"])
+    def test_double_dash_value_is_an_error(self, capsys, flag):
+        values = {"--f": "z", "--g": "z^2", "--u": "z", flag: "--"}
+        argv = ["member", *(tok for item in values.items() for tok in item)]
+        status, out, err = run_cli(capsys, *argv, "--json")
+        assert status == 1 and err == ""
+        assert flag in json.loads(out)["error"]
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1 and out == ""
+        assert err.startswith("error: ")
+
+    def test_double_dash_value_without_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "amoh.cli", "is-line", "--f", "--", "--g", "z", "--json"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "error" in json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+    def test_resource_exhaustion_is_two(self, capsys, monkeypatch, exc):
+        def exhausted(*args, **kwargs):
+            raise exc()
+
+        monkeypatch.setattr("amoh.cli.is_member", exhausted)
+        argv = ["member", "--u", "z", "--f", "z^2", "--g", "z^3"]
+        status, out, _ = run_cli(capsys, *argv, "--json")
+        assert status == 2
+        assert json.loads(out) == {"error": exc.__name__}
+        status, _, err = run_cli(capsys, *argv)
+        assert status == 2
+        assert err == f"error: {exc.__name__}\n"
+
+
+class TestCommandTable:
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_subcommand_help_is_zero(self, capsys, name):
+        assert main([name, "--help"]) == 0
+        assert name in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_values_may_start_with_minus(self, name):
+        _, _, kind, options = _COMMANDS[name]
+        argv, expected = [name], {}
+        for flag in (["--f", "--g"] if kind else []) + list(options):
+            if options.get(flag, {}).get("type") is int:
+                argv += [flag, "-3"]
+                expected[flag[2:]] = -3
+            else:
+                argv += [flag, "-z"]
+                expected[flag[2:]] = "-z"
+        args = _build_parser().parse_args(_fuse_leading_minus(argv))
+        assert {key: getattr(args, key) for key in expected} == expected
 
 
 class TestImportCost:

@@ -11,16 +11,15 @@ from amoh import (
     criterion_check,
     eval_bivariate,
     is_line,
+    is_member,
     random_line_curve,
     reduce_to_line,
 )
 from amoh.line import (
     ALGEBRA_TRIVIAL,
     CRITERION_HOLDS,
-    DERIVATIVE_NOT_MEMBER,
     DIVISIBILITY_FAILURE,
     UNFAITHFUL_PARAMETER,
-    _criterion_reason,
 )
 
 from conftest import Z, const
@@ -58,10 +57,10 @@ class TestExampleCurve:
         assert eval_bivariate(verdict.inverse, f, g) == Z
 
     def test_criterion_blames_g(self, example_curve):
-        ok, reason = _criterion_reason(*example_curve)
-        assert not ok
-        assert reason.kind == DERIVATIVE_NOT_MEMBER
-        assert reason.which == "g"
+        f, g = example_curve
+        assert not criterion_check(f, g)
+        assert is_member(f.derivative(), f, g).member
+        assert not is_member(g.derivative(), f, g).member
 
 
 class TestSmallCases:
