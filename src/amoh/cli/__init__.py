@@ -41,11 +41,11 @@ MAX_EXPONENT = 4096
 MAX_DEGREE = 10_000
 MAX_COEFF_BITS = 16_384
 # Bound on the summed cost of the products and powers of one input: the
-# predicted nonzero terms (at most degree + 1) times coefficient bits of
-# each result, times x-degree + 1 for planar inputs, about the size in bits
-# of the results.  The time to expand grows faster than linearly in it:
-# powers of cost 3.9 to 4.2 million, (1+z)^2000 among them, took 0.26 to
-# 0.52 s of CPU on a 2-vCPU Xeon with CPython 3.11.7.
+# predicted terms (one for a monomial, else degree + 1) times coefficient
+# bits of each result, times x-degree + 1 for planar inputs, about the size
+# in bits of the results.  The time to expand grows faster than linearly in
+# it: powers of cost 3.9 to 4.2 million, (1+z)^2000 among them, took 0.26
+# to 0.52 s of CPU on a 2-vCPU Xeon with CPython 3.11.7.
 MAX_EXPAND_COST = 1 << 22
 MAX_PAREN_DEPTH = 200
 
@@ -112,15 +112,16 @@ class _Parser:
 
     @staticmethod
     def _size(value):
-        """(degree, x-degree, numerator bits, denominator bits, terms) of a
-        value.
+        """(degree, x-degree, numerator bits, denominator bits, monomial)
+        of a value.
 
         The degree is in z (in y for BiPoly); zero counts as degree 0.
         Write the value as integer numerators over one common denominator
         D: the bits are log2 of the numerators' absolute sum and log2 D.
         Each entry of a product is at most the sum of the factors'
         entries, and each entry of a power at most the exponent times the
-        base's.  terms counts the nonzero coefficients (in y for BiPoly)."""
+        base's.  monomial says whether at most one coefficient (in y for
+        BiPoly) is nonzero."""
         if isinstance(value, Poly):
             deg, xdeg, polys = value.degree, 0, [value]
             terms = len(value.nums) - value.nums.count(0)
@@ -135,20 +136,23 @@ class _Parser:
             xdeg,
             math.log2(norm) if norm else 0.0,
             math.log2(den),
-            terms,
+            terms <= 1,
         )
 
-    def _charge(self, deg, xdeg, num_bits, den_bits, terms, pos):
+    def _charge(self, deg, xdeg, num_bits, den_bits, monomial, pos):
         # Products and powers are checked on their predicted size before
-        # they are computed, and their costs add up over the input.  A sum
-        # is no larger than its operands put together, so the length of the
-        # input bounds it.
+        # they are computed, and their costs add up over the input.  Only a
+        # monomial result is charged one term: a product whose shorter
+        # factor has ten or more nonzero terms is computed on one dense
+        # integer (field_poly._kronecker_mul), however sparse its factors.
+        # A sum is no larger than its operands put together, so the length
+        # of the input bounds it.
         if max(deg, xdeg) > MAX_DEGREE:
             raise ParseError("expression degree is too large", pos)
         bits = max(num_bits, den_bits)
         if bits > MAX_COEFF_BITS:
             raise ParseError("expression coefficients are too large", pos)
-        self.cost += min(terms, deg + 1) * (xdeg + 1) * max(bits, 1)
+        self.cost += (1 if monomial else deg + 1) * (xdeg + 1) * max(bits, 1)
         if self.cost > MAX_EXPAND_COST:
             raise ParseError("expression is too costly to expand", pos)
 
@@ -182,8 +186,8 @@ class _Parser:
                 return acc
             self._take()
             rhs = self.factor()
-            (da, xa, na, ea, ta), (db, xb, nb, eb, tb) = self._size(acc), self._size(rhs)
-            self._charge(da + db, xa + xb, na + nb, ea + eb, ta * tb, pos)
+            (da, xa, na, ea, ma), (db, xb, nb, eb, mb) = self._size(acc), self._size(rhs)
+            self._charge(da + db, xa + xb, na + nb, ea + eb, ma and mb, pos)
             acc = acc * rhs
 
     def factor(self):
@@ -200,11 +204,8 @@ class _Parser:
         self._take()
         if value > MAX_EXPONENT:
             raise ParseError("exponent is too large", pos)
-        deg, xdeg, num_bits, den_bits, terms = self._size(base)
-        # a power has at most one term per monomial of degree `value` in
-        # `terms` unknowns
-        monomials = math.comb(terms + value - 1, value) if terms else 0
-        self._charge(deg * value, xdeg * value, num_bits * value, den_bits * value, monomials, pos)
+        deg, xdeg, num_bits, den_bits, monomial = self._size(base)
+        self._charge(deg * value, xdeg * value, num_bits * value, den_bits * value, monomial, pos)
         return base**value
 
     def atom(self):
@@ -646,10 +647,9 @@ def _fuse_leading_minus(argv):
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _fuse_leading_minus(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_fuse_leading_minus(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     _, handler, kind, _ = _COMMANDS[args.command]
@@ -661,11 +661,13 @@ def main(argv=None) -> int:
             print(f"error: {message}", file=sys.stderr)
         return status
 
-    # argparse drops a `--` given as an option's value (`--f=--` after the
-    # rewrite above) and leaves an empty list in its place
-    for key, value in vars(args).items():
-        if value == []:
-            return fail(1, f"--{key} needs a value, got --")
+    # `--f --` reaches argparse as `--f=--`, which it reads as [] or as
+    # "--" depending on the Python version.  argparse also takes a unique
+    # prefix of a flag: `--ou=--` for `--out=--`.
+    for tok in argv:
+        flag, _, value = tok.partition("=")
+        if value == "--" and flag[:2] == "--" and any(f.startswith(flag) for f in _VALUE_FLAGS):
+            return fail(1, f"{flag} needs a value, got --")
     try:
         if kind is None:
             out = handler(args)

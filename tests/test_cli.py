@@ -135,6 +135,17 @@ class TestParsePoly:
         assert time.process_time() - start < 1.0
         assert "too costly" in str(info.value)
 
+    def test_sparse_product_charged_dense(self):
+        # Ten nonzero terms, each 2^8000, spread up to degree 4050: squaring
+        # it packs one dense integer of 4051 slots, so it costs as a dense
+        # polynomial would.
+        base = " + ".join(f"4^4000*z^{450 * k}" for k in range(9, -1, -1))
+        start = time.process_time()
+        with pytest.raises(ParseError) as info:
+            parse_poly(f"({base})^2")
+        assert time.process_time() - start < 1.0
+        assert "too costly" in str(info.value)
+
     def test_cost_bound_edge(self):
         assert parse_poly("(1+z)^2000").degree == 2000
         with pytest.raises(ParseError) as info:
@@ -468,6 +479,15 @@ class TestTotality:
         status, out, err = run_cli(capsys, *argv)
         assert status == 1 and out == ""
         assert err.startswith("error: ")
+
+    def test_double_dash_out_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["--out", "--"], ["--out=--"], ["--ou=--"]):
+            status, out, _ = run_cli(capsys, "gen-corpus", "--count", "1", *argv)
+            assert status == 1
+            flag = argv[0].partition("=")[0]
+            assert json.loads(out) == {"error": f"{flag} needs a value, got --"}
+        assert list(tmp_path.iterdir()) == []
 
     def test_double_dash_value_without_traceback(self):
         proc = subprocess.run(
