@@ -28,7 +28,6 @@ from .field_poly import (
     Poly,
     RatFunc,
     eval_bivariate,
-    poly_divmod,
 )
 from .subalgebra import (
     DeltaSequence,
@@ -46,7 +45,6 @@ from .subalgebra import (
 from .decompose import (
     Decomposition,
     common_parameter,
-    is_faithful,
     left_cofactor,
     right_factor,
 )

@@ -264,26 +264,25 @@ def _parse_plane(text: str) -> BiPoly:
 # ---------------------------------------------------------------------------
 # rendering
 
+def _signed_sum(terms) -> str:
+    """'c*m - c*m + ...' from (nonzero rational c, monomial text m) pairs,
+    with '' for the monomial of a constant term; '0' from no pairs."""
+    parts = []
+    for c, mono in terms:
+        mag = abs(c)
+        body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
+        sign = (" - " if c < 0 else " + ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
 def render_poly(p: Poly, variable: str = "z") -> str:
     """High-to-low rendering that parse_poly inverts exactly."""
-    if p.is_zero:
-        return "0"
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.coeff(i)
-        if not c:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else f"{mag}*"
-            body = head + (variable if i == 1 else f"{variable}^{i}")
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
-    return "".join(parts)
+    return _signed_sum(
+        (c, "" if i == 0 else variable if i == 1 else f"{variable}^{i}")
+        for i, c in reversed(list(enumerate(p.coeffs)))
+        if c
+    )
 
 
 def _scalar_str(c) -> str:
@@ -306,24 +305,10 @@ def _monomial_str(i: int, j: int) -> str:
 
 
 def render_expr(expr: BivarExpr) -> str:
-    """Certificates and inverses as expressions in X, Y (placeholders for
-    f and g), lowest weight first: 'Y - X^2', 'X*Y - X^3'."""
-    terms = expr.sorted_terms()
-    if not terms:
-        return "0"
-    parts = []
-    for i, j, c in terms:
-        mono = _monomial_str(i, j)
-        if isinstance(c, Fraction):
-            neg, mag = c < 0, abs(c)
-            body = str(mag) if not mono else mono if mag == 1 else f"{mag}*{mono}"
-        else:
-            neg, body = False, f"({_scalar_str(c)})" + (f"*{mono}" if mono else "")
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
-            parts.append((" - " if neg else " + ") + body)
-    return "".join(parts)
+    """Certificates and inverses over Q as expressions in X, Y
+    (placeholders for f and g), lowest weight first: 'Y - X^2',
+    'X*Y - X^3'."""
+    return _signed_sum((c, _monomial_str(i, j)) for i, j, c in expr.sorted_terms())
 
 
 def _cert_terms(expr: BivarExpr):
@@ -610,25 +595,17 @@ _COMMANDS = {
 _VALUE_FLAGS = frozenset({"--f", "--g"}.union(*(spec[3] for spec in _COMMANDS.values())))
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
-        prog="amoh",
-        description="Exact checks for embedded plane lines k[f(z), g(z)] = k[z].",
-    )
-    sub = top.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, kind, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if kind is None:
-            # the corpus is JSON lines, so its errors are JSON objects too
-            p.set_defaults(json=True)
-        else:
-            what = f"{'generator' if kind == 'z' else 'map component'}, a polynomial in {kind}"
-            p.add_argument("--f", required=True, help=f"first {what}")
-            p.add_argument("--g", required=True, help=f"second {what}")
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-        for flag, spec in options.items():
-            p.add_argument(flag, **spec)
-    return top
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    help_text, _, kind, options = _COMMANDS[name]
+    p = argparse.ArgumentParser(prog=f"amoh {name}", description=help_text)
+    if kind is not None:
+        what = f"{'generator' if kind == 'z' else 'map component'}, a polynomial in {kind}"
+        p.add_argument("--f", required=True, help=f"first {what}")
+        p.add_argument("--g", required=True, help=f"second {what}")
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+    for flag, spec in options.items():
+        p.add_argument(flag, **spec)
+    return p
 
 
 def _fuse_leading_minus(argv):
@@ -646,20 +623,36 @@ def _fuse_leading_minus(argv):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = _fuse_leading_minus(sys.argv[1:] if argv is None else argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 1
-    _, handler, kind, _ = _COMMANDS[args.command]
+    command = argv[0] if argv else None
+    # The corpus is JSON lines, so its errors are JSON objects too.  Usage
+    # errors come before argparse has read --json, so this reads the tokens
+    # (argparse takes a prefix such as --js for --json too).
+    as_json = command == "gen-corpus" or any(len(t) > 2 and "--json".startswith(t) for t in argv)
 
     def fail(status, message):
-        if args.json:
+        if as_json:
             print(json.dumps({"error": message}))
         else:
             print(f"error: {message}", file=sys.stderr)
         return status
+
+    if command in ("-h", "--help"):
+        print("usage: amoh <command> [options]; amoh <command> --help lists them\n")
+        for name, spec in _COMMANDS.items():
+            print(f"  {name:<15} {spec[0]}")
+        return 0
+    if command not in _COMMANDS:
+        given = "no command" if command is None else f"unknown command {command!r}"
+        return fail(1, f"{given}; choose from {', '.join(_COMMANDS)}")
+    parser = _command_parser(command)
+    # a usage error is reported like any other error, not as argparse's usage text
+    parser.error = lambda message: parser.exit(fail(1, message))
+    try:
+        args = parser.parse_args(argv[1:])
+    except SystemExit as exc:
+        return exc.code
+    _, handler, kind, _ = _COMMANDS[command]
 
     # `--f --` reaches argparse as `--f=--`, which it reads as [] or as
     # "--" depending on the Python version.  argparse also takes a unique
@@ -684,7 +677,7 @@ def main(argv=None) -> int:
     if isinstance(out, int):
         return out
     obj, lines = out
-    if args.json:
+    if as_json:
         print(json.dumps(obj))
     else:
         for line in lines:

@@ -19,7 +19,6 @@ __all__ = [
     "right_factor",
     "left_cofactor",
     "common_parameter",
-    "is_faithful",
 ]
 
 
@@ -112,8 +111,3 @@ def common_parameter(f: Poly, g: Poly) -> Decomposition:
             continue
         return Decomposition(h, f_tilde, g_tilde)
     raise AssertionError("unreachable: degree 1 always succeeds")
-
-
-def is_faithful(f: Poly, g: Poly) -> bool:
-    """Whether z is already a faithful parameter for the pair."""
-    return common_parameter(f, g).h.degree == 1

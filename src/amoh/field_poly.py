@@ -18,6 +18,7 @@ their inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -31,11 +32,11 @@ __all__ = [
     "RatFunc",
     "Poly",
     "BivarExpr",
-    "poly_divmod",
     "eval_bivariate",
 ]
 
 
+@functools.total_ordering
 class _NegInf:
     """Degree of the zero polynomial: below every integer, no arithmetic."""
 
@@ -46,23 +47,6 @@ class _NegInf:
             return False
         if isinstance(other, int):
             return True
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (_NegInf, int)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (_NegInf, int)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, _NegInf):
-            return True
-        if isinstance(other, int):
-            return False
         return NotImplemented
 
     def __eq__(self, other):
@@ -84,7 +68,8 @@ class Poly:
     The coefficient field is carried as ``self.field``, the coefficient
     class itself (``Fraction`` or :class:`RatFunc`); calling it on an int or
     a lower field element coerces.  Binary operations require both operands
-    over the same field.
+    over the same field; division with remainder is over the rationals
+    only.
 
     Over the rationals the coefficients are ``nums[i] / den``: a tuple of
     integer numerators over one positive common denominator, in lowest
@@ -282,26 +267,13 @@ class Poly:
 
     def __divmod__(self, other):
         other = self._lift(other)
+        if self.field is not Fraction:
+            raise TypeError("polynomial division is over the rationals only")
         if other.is_zero:
             raise DivisionByZeroPoly("polynomial division by zero")
         if len(self.nums) < len(other.nums):
-            return Poly.zero(self.field), self
-        if self.field is Fraction:
-            return _divmod_q(self, other)
-        rem = list(self.nums)
-        divisor = other.nums
-        dlen = len(divisor)
-        lead = divisor[-1]
-        quot = [self.field(0)] * (len(rem) - dlen + 1)
-        for top in range(len(rem) - 1, dlen - 2, -1):
-            c = rem[top]
-            if not c:
-                continue
-            q = c / lead
-            quot[top - dlen + 1] = q
-            for k in range(dlen):
-                rem[top - dlen + 1 + k] = rem[top - dlen + 1 + k] - q * divisor[k]
-        return Poly._make(quot, 1, self.field), Poly._make(rem, 1, self.field)
+            return Poly.zero(Fraction), self
+        return _divmod_q(self, other)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -881,10 +853,6 @@ def _cached_power(cache: dict, base, e: int):
         acc = acc * base
         cache[k] = acc
     return acc
-
-
-def poly_divmod(p: Poly, q: Poly):
-    return divmod(p, q)
 
 
 def eval_bivariate(expr: BivarExpr, f: Poly, g: Poly) -> Poly:

@@ -210,10 +210,11 @@ def _resolve_cap(f: Poly, g: Poly, cap) -> int:
     return max(64, 10 * (m + n) * (m + n))
 
 
-def _reachable(degrees, bound: int) -> bytearray:
-    """table[v] == 1 iff v is a nonnegative integer combination of degrees."""
+def _reachable(degrees, bound: int, start=b"\x01") -> bytearray:
+    """table[v] == 1 iff v is a value that start marks (only 0 by default)
+    plus a nonnegative integer combination of degrees."""
     table = bytearray(bound + 1)
-    table[0] = 1
+    table[:len(start)] = start
     for d in degrees:
         for v in range(d, bound + 1):
             if table[v - d]:
@@ -246,16 +247,11 @@ class _Reducer:
         if self.tables is not None and bound <= self.bound:
             return
         b = max(bound, 2 * self.bound, 16)
-        degs = self.degs_desc
-        tables = [None] * (len(degs) + 1)
-        tables[len(degs)] = _reachable((), b)
-        for k in range(len(degs) - 1, -1, -1):
-            t = bytearray(tables[k + 1])
-            d = degs[k]
-            for v in range(d, b + 1):
-                if t[v - d]:
-                    t[v] = 1
-            tables[k] = t
+        # tables[k] marks the sums of degs_desc[k:], built from the empty end
+        tables = [_reachable((), b)]
+        for d in reversed(self.degs_desc):
+            tables.append(_reachable((d,), b, tables[-1]))
+        tables.reverse()
         self.tables = tables
         self.bound = b
 
@@ -363,21 +359,17 @@ def _adjoin(work, r: Poly, head: tuple, consumed: tuple) -> bool:
 
 def _interreduce(work, scalar_field, budget: _Budget):
     """Subduct each element against the others until nothing moves."""
-    changed = True
-    while changed:
-        changed = False
+    while True:
         budget.tick("interreduction")
         for el in sorted(work, key=lambda e: -e.degree):
             others = [o for o in work if o is not el]
-            if not others:
-                continue
             r, consumed = _Reducer(others, scalar_field, budget).reduce(el.poly)
-            if r == el.poly:
-                continue
-            work.remove(el)
-            _adjoin(work, r, ((1, ((el, 1),)),), consumed)
-            changed = True
-            break
+            if r != el.poly:
+                work.remove(el)
+                _adjoin(work, r, ((1, ((el, 1),)),), consumed)
+                break
+        else:
+            return
 
 
 def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:

@@ -1,5 +1,6 @@
 """Front-end behavior: grammar, golden outputs, exit codes, totality."""
 
+import argparse
 import io
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoh import ParseError, Poly, parse_poly, render_poly
-from amoh.cli import _COMMANDS, _build_parser, _fuse_leading_minus, corpus_pairs, main
+from amoh.cli import _COMMANDS, _command_parser, _fuse_leading_minus, corpus_pairs, main
 
 from conftest import Z, const
 
@@ -327,6 +328,33 @@ class TestExitCodes:
 
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(name in out for name in _COMMANDS)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["is-line", "--f", "z", "--json"], "the following arguments are required: --g"),
+            (["member", "--f", "z", "--g", "z", "--js"], "the following arguments are required: --u"),
+            (
+                ["represent", "--degree", "abc", "--f", "z", "--g", "z^2", "--json"],
+                "argument --degree: invalid int value: 'abc'",
+            ),
+            (["gen-corpus", "--json"], "unrecognized arguments: --json"),
+            (["--json"], "unknown command '--json'; choose from " + ", ".join(_COMMANDS)),
+        ],
+    )
+    def test_usage_error_is_a_json_object(self, capsys, argv, message):
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1
+        assert json.loads(out) == {"error": message}
+        assert err == ""
+
+    def test_usage_error_in_text(self, capsys):
+        status, out, err = run_cli(capsys, "is-line", "--f", "z")
+        assert status == 1
+        assert out == ""
+        assert err == "error: the following arguments are required: --g\n"
 
     def test_json_error_object(self, capsys):
         status, out, _ = run_cli(capsys, "delta", "--f", "1", "--g", "2", "--json")
@@ -523,7 +551,7 @@ class TestCommandTable:
     @pytest.mark.parametrize("name", list(_COMMANDS))
     def test_values_may_start_with_minus(self, name):
         _, _, kind, options = _COMMANDS[name]
-        argv, expected = [name], {}
+        argv, expected = [], {}
         for flag in (["--f", "--g"] if kind else []) + list(options):
             if options.get(flag, {}).get("type") is int:
                 argv += [flag, "-3"]
@@ -531,8 +559,28 @@ class TestCommandTable:
             else:
                 argv += [flag, "-z"]
                 expected[flag[2:]] = "-z"
-        args = _build_parser().parse_args(_fuse_leading_minus(argv))
+        args = _command_parser(name).parse_args(_fuse_leading_minus(argv))
         assert {key: getattr(args, key) for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["is-line", "--f", "z", "--g", "z^2"],
+            ["gen-corpus", "--count", "1"],
+            ["sagbi", "--f", "z"],
+        ],
+    )
+    def test_one_parser_per_call(self, capsys, monkeypatch, argv):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        main(argv)
+        assert built == [f"amoh {argv[0]}"]
 
 
 class TestImportCost:

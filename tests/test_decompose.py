@@ -10,7 +10,6 @@ from amoh import (
     Poly,
     TrivialAlgebra,
     common_parameter,
-    is_faithful,
     left_cofactor,
     right_factor,
 )
@@ -71,7 +70,6 @@ class TestCommonParameter:
     def test_faithful_pair(self, example_curve):
         dec = common_parameter(*example_curve)
         assert dec.h.degree == 1
-        assert is_faithful(*example_curve)
 
     def test_composed_pair_recovered(self):
         inner = Z**2
@@ -80,7 +78,6 @@ class TestCommonParameter:
         assert dec.h.degree == 2
         assert dec.f_tilde.compose(dec.h) == f
         assert dec.g_tilde.compose(dec.h) == g
-        assert not is_faithful(f, g)
 
     def test_both_constant(self):
         with pytest.raises(TrivialAlgebra):

@@ -15,7 +15,6 @@ from amoh import (
     RatFunc,
     eval_bivariate,
     parse_poly,
-    poly_divmod,
 )
 from amoh.field_poly import _KRONECKER_MIN_TERMS, _kronecker_mul, _schoolbook_mul
 
@@ -41,6 +40,19 @@ class TestPolyBasics:
         assert NEG_INF < 0
         assert NEG_INF < -(10**9)
         assert not NEG_INF < NEG_INF
+
+    def test_neg_inf_comparisons(self):
+        for n in (-(10**9), -1, 0, 7):
+            assert NEG_INF < n and NEG_INF <= n and NEG_INF != n
+            assert not (NEG_INF > n or NEG_INF >= n or NEG_INF == n)
+            assert n > NEG_INF and n >= NEG_INF
+            assert not (n < NEG_INF or n <= NEG_INF)
+        assert NEG_INF == NEG_INF and NEG_INF <= NEG_INF and NEG_INF >= NEG_INF
+        assert not (NEG_INF != NEG_INF or NEG_INF < NEG_INF or NEG_INF > NEG_INF)
+        with pytest.raises(TypeError):
+            NEG_INF < 1.5
+        with pytest.raises(TypeError):
+            NEG_INF >= "0"
 
     def test_constant_and_variable(self):
         assert const(5).degree == 0
@@ -85,6 +97,16 @@ class TestPolyBasics:
         with pytest.raises(TypeError):
             Z + rf
 
+    def test_division_over_ratfunc_raises(self):
+        y = Poly.variable(RatFunc)
+        for a, b in ((y**2, y), (y, y**2), (y, Poly.zero(RatFunc)), (y, RatFunc.x())):
+            with pytest.raises(TypeError):
+                divmod(a, b)
+        with pytest.raises(TypeError):
+            y**2 // y
+        with pytest.raises(TypeError):
+            y**2 % y
+
 
 class TestPolyProperties:
     @settings(deadline=None)
@@ -101,7 +123,7 @@ class TestPolyProperties:
     def test_divmod_invariant(self, a, b):
         if b.is_zero:
             return
-        q, r = poly_divmod(a, b)
+        q, r = divmod(a, b)
         assert a == q * b + r
         assert r.degree < b.degree
 

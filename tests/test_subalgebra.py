@@ -306,6 +306,30 @@ def _random_poly(rng, degree, lead):
     )
 
 
+class TestSubduct:
+    """subduct: u == eval(consumed) + remainder, with the remainder constant
+    or of a degree outside the degree semigroup."""
+
+    @pytest.mark.parametrize(
+        "f, g, u",
+        [
+            (Z**3, Z**6 + Z**2, Z**7 - (Z**2).scale(3) + const(1)),
+            (Z**3, Z**6 + Z**2, Z**5 + (Z**4).scale(Fraction(1, 2)) + Z + const(3)),
+            (Z**4, Z**6 + Z, (Z**11).scale(2) + Z**5 - Z**3 + Z),
+            (Z**4, Z**6 + Z, Z**13 + (Z**2).scale(Fraction(-5, 7))),
+            (*_rational_pair(), Z**8 + Z),
+            (*_rational_pair(), Z**5 - const(Fraction(1, 3))),
+        ],
+    )
+    def test_remainder_and_consumed(self, f, g, u):
+        basis = sagbi_basis(f, g)
+        r, consumed = subduct(u, basis)
+        assert eval_bivariate(consumed, f, g) + r == u
+        reach = _reachable(basis.degrees, max(u.degree, 0))
+        assert r.is_constant or not reach[r.degree]
+        assert subduct(u, basis, certify=False) == (r, None)
+
+
 class TestSubductionKernel:
     """_Reducer.reduce against a reference written with public Poly
     arithmetic: the same remainder, the same consumed recipe (exact leads,
