@@ -63,7 +63,6 @@ from .theorems import (
     check_strong_am,
 )
 from .jacobian import (
-    BiPoly,
     Prop21Report,
     jacobian_det,
     prop21_probe,

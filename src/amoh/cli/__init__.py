@@ -30,7 +30,7 @@ from ..errors import (
     PreconditionViolated,
 )
 from ..field_poly import BivarExpr, Poly, RatFunc
-from ..jacobian import BiPoly, prop21_probe
+from ..jacobian import prop21_probe
 from ..line import is_line, random_line_curve
 from ..subalgebra import delta_sequence, is_member, sagbi_basis, semigroup_represent
 from ..theorems import check_prop22, check_strong_am
@@ -86,7 +86,8 @@ def _tokenize(text: str):
 class _Parser:
     """Recursive descent over the token list.  `atoms` maps variable names
     to their values; `const` lifts a Fraction into the target algebra.  The
-    same grammar therefore serves Poly and BiPoly inputs."""
+    same grammar therefore serves polynomials in z over Q and plane maps,
+    polynomials in y over RatFunc(x)."""
 
     def __init__(self, tokens, atoms, const):
         self.tokens = tokens
@@ -115,19 +116,20 @@ class _Parser:
         """(degree, x-degree, numerator bits, denominator bits, monomial)
         of a value.
 
-        The degree is in z (in y for BiPoly); zero counts as degree 0.
+        The degree is in z (in y for a plane map); zero counts as degree 0.
         Write the value as integer numerators over one common denominator
         D: the bits are log2 of the numerators' absolute sum and log2 D.
         Each entry of a product is at most the sum of the factors'
         entries, and each entry of a power at most the exponent times the
         base's.  monomial says whether at most one coefficient (in y for
-        BiPoly) is nonzero."""
-        if isinstance(value, Poly):
-            deg, xdeg, polys = value.degree, 0, [value]
+        a plane map) is nonzero."""
+        deg = value.degree
+        if value.field is Fraction:
+            xdeg, polys = 0, [value]
             terms = len(value.nums) - value.nums.count(0)
         else:
-            polys = [c.num for c in value.yp.coeffs]
-            deg, xdeg = value.y_degree, max((p.degree for p in polys if p), default=0)
+            polys = [c.num for c in value.nums]
+            xdeg = max((p.degree for p in polys if p), default=0)
             terms = sum(1 for p in polys if p)
         den = math.lcm(*(p.den for p in polys))
         norm = sum(sum(map(abs, p.nums)) * (den // p.den) for p in polys)
@@ -252,11 +254,12 @@ def parse_poly(text: str, variable: str = "z") -> Poly:
     return parser.parse()
 
 
-def _parse_plane(text: str) -> BiPoly:
+def _parse_plane(text: str) -> Poly:
+    """Parse a plane map in x and y, as a polynomial in y over RatFunc(x)."""
     parser = _Parser(
         _tokenize(text),
-        {"x": BiPoly.x(), "y": BiPoly.y()},
-        BiPoly.constant,
+        {"x": Poly.constant(RatFunc.x(), RatFunc), "y": Poly.variable(RatFunc)},
+        lambda c: Poly.constant(c, RatFunc),
     )
     return parser.parse()
 

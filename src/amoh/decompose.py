@@ -90,7 +90,7 @@ def common_parameter(f: Poly, g: Poly) -> Decomposition:
 
     Candidate degrees run over the divisors of gcd(deg f, deg g) from the
     largest down; the first inner factor of f that also works for g wins,
-    and degree 1 (h = z) always does.  When one input is constant it
+    and when none above 1 does, h = z.  When one input is constant it
     composes through anything, so h comes from the other input alone.
     """
     fc, gc = f.is_constant, g.is_constant
@@ -100,7 +100,7 @@ def common_parameter(f: Poly, g: Poly) -> Decomposition:
         main = g if fc else f
         h = (main - Poly.constant(main.coeff(0), main.field)).monic()
         return Decomposition(h, left_cofactor(f, h), left_cofactor(g, h))
-    for e in _divisors_desc(math.gcd(f.degree, g.degree)):
+    for e in _divisors_desc(math.gcd(f.degree, g.degree))[:-1]:
         pair = _right_factor_pair(f, e)
         if pair is None:
             continue
@@ -110,4 +110,5 @@ def common_parameter(f: Poly, g: Poly) -> Decomposition:
         except NotComposable:
             continue
         return Decomposition(h, f_tilde, g_tilde)
-    raise AssertionError("unreachable: degree 1 always succeeds")
+    # degree 1 needs no arithmetic: every polynomial is one in h = z
+    return Decomposition(Poly.variable(f.field), f, g)

@@ -306,7 +306,8 @@ class Poly:
 
     # -- comparison --------------------------------------------------------
 
-    def _check_field(self, other: "Poly"):
+    def _check_field(self, other):
+        # shared with BivarExpr: reads only the operands' fields
         if self.field is not other.field:
             raise TypeError(
                 f"mixed coefficient fields: {self.field.__name__} vs {other.field.__name__}"
@@ -615,9 +616,12 @@ class BivarExpr:
     the coefficient of (i, j) is ``nums[(i, j)] / den``: integer numerators
     over one positive common denominator, in lowest terms, so equal
     expressions are stored alike.  Over :class:`RatFunc`, ``nums`` holds
-    the coefficients themselves and ``den`` is 1; combining the two fields
-    gives an expression over RatFunc.  ``terms`` is the map in the field,
-    built on each access.
+    the coefficients themselves and ``den`` is 1.  ``terms`` is the map in
+    the field, built on each access.
+
+    An expression keeps the field it was built over, as a Poly does:
+    arithmetic, scaling and substitution across fields raise TypeError,
+    and expressions over different fields are never equal.
     """
 
     __slots__ = ("nums", "den", "field", "_hash")
@@ -652,8 +656,8 @@ class BivarExpr:
         return obj
 
     @classmethod
-    def zero(cls) -> "BivarExpr":
-        return cls()
+    def zero(cls, field=Fraction) -> "BivarExpr":
+        return cls._make({}, 1, field)
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1) -> "BivarExpr":
@@ -682,22 +686,11 @@ class BivarExpr:
     def is_zero(self) -> bool:
         return not self.nums
 
-    def _over(self, field):
-        """(nums, den) of self as an expression over field, which is
-        self.field or RatFunc."""
-        if field is self.field:
-            return self.nums, self.den
-        if field is not RatFunc:
-            raise TypeError("an expression over RatFunc has no value over the rationals")
-        return {k: RatFunc(Fraction(c, self.den)) for k, c in self.nums.items()}, 1
-
-    def _pair(self, other):
-        """Both operands' (nums, den) over one field, and that field."""
-        field = self.field if self.field is other.field else RatFunc
-        return self._over(field), other._over(field), field
+    _check_field = Poly._check_field
 
     def _add(self, other, op):
-        (a, da), (b, db), field = self._pair(other)
+        self._check_field(other)
+        a, da, b, db = self.nums, self.den, other.nums, other.den
         if da != db:
             # only over Q: bring both to the lcm of the denominators
             g = math.gcd(da, db)
@@ -714,7 +707,7 @@ class BivarExpr:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return BivarExpr._make(out, da, field)
+        return BivarExpr._make(out, da, self.field)
 
     def __add__(self, other):
         if not isinstance(other, BivarExpr):
@@ -732,34 +725,34 @@ class BivarExpr:
     def __mul__(self, other):
         if not isinstance(other, BivarExpr):
             return NotImplemented
-        (a, da), (b, db), field = self._pair(other)
+        self._check_field(other)
         out = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
+        for (i1, j1), c1 in self.nums.items():
+            for (i2, j2), c2 in other.nums.items():
                 k = (i1 + i2, j1 + j2)
                 s = out.get(k, 0) + c1 * c2
                 if s:
                     out[k] = s
                 else:
                     out.pop(k, None)
-        return BivarExpr._make(out, da * db, field)
+        return BivarExpr._make(out, self.den * other.den, self.field)
 
     def scale(self, c) -> "BivarExpr":
+        field = self.field
+        c = c if isinstance(c, field) else field(c)
         if not c:
-            return BivarExpr.zero()
-        if isinstance(c, RatFunc) or self.field is RatFunc:
-            nums, _ = self._over(RatFunc)
-            return BivarExpr._make({k: v * c for k, v in nums.items()}, 1, RatFunc)
-        # an int or a Fraction: both carry numerator and (positive) denominator
+            return BivarExpr.zero(field)
+        if field is not Fraction:
+            return BivarExpr._make({k: v * c for k, v in self.nums.items()}, 1, field)
         p = c.numerator
         nums = self.nums if p == 1 else {k: v * p for k, v in self.nums.items()}
-        return BivarExpr._make(nums, self.den * c.denominator, Fraction)
+        return BivarExpr._make(nums, self.den * c.denominator, field)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("certificate exponent must be a nonnegative integer")
         if n == 0:
-            return BivarExpr.const(1)
+            return BivarExpr.const(self.field(1))
         return _power(self, n)
 
     def eval(self, f: Poly, g: Poly) -> Poly:
@@ -771,12 +764,11 @@ class BivarExpr:
         rather than one per term, which matters for the certificates of
         high-degree members.
         """
-        field = f.field
-        if g.field is not field:
-            raise TypeError("mixed coefficient fields in substitution")
-        nums, den = self._over(field)
+        self._check_field(f)
+        self._check_field(g)
+        field, den = self.field, self.den
         rows: dict = {}
-        for (i, j), c in nums.items():
+        for (i, j), c in self.nums.items():
             rows.setdefault(i, []).append((c, j))
         fpows = {}
         gpows = {0: Poly.one(field)}
@@ -805,9 +797,11 @@ class BivarExpr:
     def __eq__(self, other):
         if not isinstance(other, BivarExpr):
             return NotImplemented
-        if self.field is other.field:
-            return self.den == other.den and self.nums == other.nums
-        return self.terms == other.terms
+        return (
+            self.field is other.field
+            and self.den == other.den
+            and self.nums == other.nums
+        )
 
     def __hash__(self):
         if self._hash is None:

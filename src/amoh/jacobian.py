@@ -1,11 +1,11 @@
 """Jacobian probe for pairs of polynomials in two variables.
 
 The ring k[x, y] is viewed asymmetrically as polynomials in y whose
-coefficients are rational functions of x.  Under that view a pair (f, g)
-with constant nonzero Jacobian determinant should have both y-derivatives
-inside k(x)[f, g], which the degree-semigroup engine can decide with exact
-certificates over k(x).  A generator for tame automorphism pairs provides
-positive instances.
+coefficients are rational functions of x: a plane map is a :class:`Poly`
+over :class:`RatFunc`.  Under that view a pair (f, g) with constant nonzero
+Jacobian determinant should have both y-derivatives inside k(x)[f, g],
+which the degree-semigroup engine can decide with exact certificates over
+k(x).  A generator for tame automorphism pairs provides positive instances.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 
-from .field_poly import BivarExpr, Fraction, Poly, RatFunc
-from .subalgebra import MembershipResult, _Frozen, is_member
+from .field_poly import BivarExpr, Poly, RatFunc
+from .subalgebra import MembershipResult, is_member
 
 __all__ = [
-    "BiPoly",
     "Prop21Report",
     "jacobian_det",
     "prop21_probe",
@@ -25,101 +24,19 @@ __all__ = [
 ]
 
 
-class BiPoly(_Frozen):
-    """Polynomial in x and y, stored as a Poly in y over RatFunc(x).
-
-    Genuinely polynomial inputs keep denominator 1 throughout; the
-    rational-function coefficients only matter for derivative quotients.
-    """
-
-    __slots__ = ("yp",)
-
-    def __init__(self, yp: Poly):
-        object.__setattr__(self, "yp", yp)
-
-    def __repr__(self):
-        return f"BiPoly(yp={self.yp!r})"
-
-    @classmethod
-    def from_terms(cls, terms) -> "BiPoly":
-        """Build from a map (x-exponent, y-exponent) -> rational coeff."""
-        x = RatFunc.x()
-        by_j = {}
-        for (i, j), c in terms.items():
-            by_j[j] = by_j.get(j, RatFunc(0)) + x**i * Fraction(c)
-        top = max(by_j, default=-1)
-        return cls(Poly([by_j.get(j, RatFunc(0)) for j in range(top + 1)], RatFunc))
-
-    @classmethod
-    def x(cls) -> "BiPoly":
-        return cls(Poly.constant(RatFunc.x(), RatFunc))
-
-    @classmethod
-    def y(cls) -> "BiPoly":
-        return cls(Poly.variable(RatFunc))
-
-    @classmethod
-    def constant(cls, c) -> "BiPoly":
-        return cls(Poly.constant(RatFunc(c), RatFunc))
-
-    @property
-    def y_degree(self):
-        return self.yp.degree
-
-    def __add__(self, other):
-        return BiPoly(self.yp + other.yp)
-
-    def __sub__(self, other):
-        return BiPoly(self.yp - other.yp)
-
-    def __neg__(self):
-        return BiPoly(-self.yp)
-
-    def __mul__(self, other):
-        return BiPoly(self.yp * other.yp)
-
-    def __pow__(self, e: int):
-        return BiPoly(self.yp**e)
-
-    def scale(self, c) -> "BiPoly":
-        return BiPoly(self.yp.scale(RatFunc(c)))
-
-    def partial_y(self) -> "BiPoly":
-        return BiPoly(self.yp.derivative())
-
-    def partial_x(self) -> "BiPoly":
-        return BiPoly(Poly(tuple(c.derivative() for c in self.yp.coeffs), RatFunc))
-
-    def is_scalar(self) -> bool:
-        """Constant in both variables."""
-        return self.yp.is_constant and self.yp.constant_value().is_rational_constant
-
-    def scalar_value(self):
-        v = self.yp.constant_value()
-        if not v.is_rational_constant:
-            raise ValueError("value depends on x")
-        num = v.num.constant_value()
-        den = v.den.constant_value()
-        return num / den
-
-    def __eq__(self, other):
-        if not isinstance(other, BiPoly):
-            return NotImplemented
-        return self.yp == other.yp
-
-    def __hash__(self):
-        return hash(("amoh.BiPoly", self.yp))
-
-
 Prop21Report = namedtuple("Prop21Report", "jacobian_constant fy_member gy_member")
 
 
-def jacobian_det(f: BiPoly, g: BiPoly) -> BiPoly:
+def _partial_x(p: Poly) -> Poly:
+    return Poly([c.derivative() for c in p.coeffs], RatFunc)
+
+
+def jacobian_det(f: Poly, g: Poly) -> Poly:
     """f_x * g_y - f_y * g_x, exactly."""
-    return f.partial_x() * g.partial_y() - f.partial_y() * g.partial_x()
+    return _partial_x(f) * g.derivative() - f.derivative() * _partial_x(g)
 
 
-def prop21_probe(f: BiPoly, g: BiPoly) -> Prop21Report:
+def prop21_probe(f: Poly, g: Poly) -> Prop21Report:
     """Whether the Jacobian determinant is a nonzero scalar, plus the
     memberships of f_y and g_y in k(x)[f, g].
 
@@ -128,12 +45,12 @@ def prop21_probe(f: BiPoly, g: BiPoly) -> Prop21Report:
     short-circuits with empty certificates.
     """
     det = jacobian_det(f, g)
-    det_scalar = det.is_scalar() and bool(det.yp.constant_value())
-    if f.yp.is_constant and g.yp.is_constant:
-        trivial = MembershipResult(True, BivarExpr.zero(), None)
+    det_scalar = det.is_constant and det.constant_value().is_rational_constant and bool(det)
+    if f.is_constant and g.is_constant:
+        trivial = MembershipResult(True, BivarExpr.zero(RatFunc), None)
         return Prop21Report(det_scalar, trivial, trivial)
-    fy = is_member(f.partial_y().yp, f.yp, g.yp)
-    gy = is_member(g.partial_y().yp, f.yp, g.yp)
+    fy = is_member(f.derivative(), f, g)
+    gy = is_member(g.derivative(), f, g)
     return Prop21Report(det_scalar, fy, gy)
 
 
@@ -146,7 +63,7 @@ def random_tame_automorphism(seed: int, steps: int, max_deg: int = 16):
     substitution degrees.  Deterministic in seed.
     """
     rng = random.Random(seed)
-    cur_f, cur_g = BiPoly.x(), BiPoly.y()
+    cur_f, cur_g = Poly.constant(RatFunc.x(), RatFunc), Poly.variable(RatFunc)
     for _ in range(steps):
         move = rng.choice(("sub", "sub", "swap", "scale"))
         if move == "swap":
@@ -158,13 +75,10 @@ def random_tame_automorphism(seed: int, steps: int, max_deg: int = 16):
             cur_f, cur_g = cur_f.scale(c1), cur_g.scale(c2)
             continue
         pdeg = rng.randint(1, 2)
-        while pdeg and pdeg * max(cur_f.y_degree, 0) > max_deg:
+        while pdeg and pdeg * max(cur_f.degree, 0) > max_deg:
             pdeg -= 1
         coeffs = [rng.randint(-3, 3) for _ in range(pdeg + 1)]
         while not coeffs[-1]:
             coeffs[-1] = rng.randint(-3, 3)
-        shift = BiPoly.constant(0)
-        for c in reversed(coeffs):
-            shift = shift * cur_f + BiPoly.constant(c)
-        cur_g = cur_g + shift
+        cur_g = cur_g + Poly(coeffs, RatFunc).compose(cur_f)
     return cur_f, cur_g

@@ -39,7 +39,7 @@ from .errors import (
     PreconditionViolated,
     TrivialAlgebra,
 )
-from .field_poly import BivarExpr, Poly, RatFunc, _cached_power
+from .field_poly import BivarExpr, Poly, _cached_power
 
 __all__ = [
     "SagbiElement",
@@ -91,24 +91,22 @@ class SagbiElement(_Frozen):
 
     @cached_property
     def provenance(self) -> BivarExpr:
-        return _expand(self.recipe)
+        return _expand(self.recipe, self.poly.field)
 
 
-def _expand(recipe) -> BivarExpr:
+def _expand(recipe, field) -> BivarExpr:
     """Sum over the (coeff, ((source, exponent), ...)) terms of a recipe of
-    coeff times the product of the sources' provenances to their exponents.
-    A source is an earlier element or the generator X or Y itself.
+    coeff times the product of the sources' provenances to their exponents,
+    as an expression over field.  A source is an earlier element or the
+    generator X or Y itself.
 
     Each scaled term goes into one numerator dict over a running lcm
     denominator, as BivarExpr stores an expression; a key that cancels is
     popped, as BivarExpr._add does, so the terms keep the order of a
-    sequential sum.  A RatFunc coefficient or term turns the sum into one
-    over RatFunc, whose denominator stays 1."""
-    acc, den, field = {}, 1, Fraction
+    sequential sum."""
+    acc, den = {}, 1
     for coeff, factors in recipe:
-        if not coeff and (factors or not isinstance(coeff, RatFunc)):
-            # a zero multiple adds nothing; a zero RatFunc constant still
-            # makes the sum one over RatFunc, as BivarExpr.const does
+        if not coeff:
             continue
         term = None
         for src, e in factors:
@@ -116,11 +114,8 @@ def _expand(recipe) -> BivarExpr:
             p = src**e if gen else _cached_power(src._pows, src.provenance, e)
             term = p if term is None else term * p
         if term is None:
-            term = BivarExpr.const(1)
-        if field is Fraction and (term.field is RatFunc or isinstance(coeff, RatFunc)):
-            acc = {k: RatFunc(Fraction(v, den)) for k, v in acc.items()}
-            den, field = 1, RatFunc
-        nums, tden = term._over(field)
+            term = BivarExpr.const(field(1))
+        nums, tden = term.nums, term.den
         if field is Fraction:
             # coeff * nums / tden over the running lcm of the denominators
             tden *= coeff.denominator
@@ -343,7 +338,7 @@ def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
     strictly decreases the degree, so this always terminates.  With
     certify=False consumed is not built and comes back as None."""
     r, consumed = basis._reducer.reduce(u)
-    return r, _expand(consumed) if certify else None
+    return r, _expand(consumed, basis.f.field) if certify else None
 
 
 def _adjoin(work, r: Poly, head: tuple, consumed: tuple) -> bool:
@@ -378,7 +373,8 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
         raise TypeError("generators must share one coefficient field")
     budget = _Budget(cap)
     work = []
-    for p, gen in ((g, BivarExpr.Y()), (f, BivarExpr.X())):
+    one = scalar_field(1)
+    for p, gen in ((g, BivarExpr.monomial(0, 1, one)), (f, BivarExpr.monomial(1, 0, one))):
         if not p.is_constant:
             r, consumed = _Reducer(work, scalar_field, budget).reduce(p)
             _adjoin(work, r, ((1, ((gen, 1),)),), consumed)
@@ -446,7 +442,8 @@ def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResu
         return MembershipResult(False, None, r.degree)
     if not certify:
         return MembershipResult(True, None, None)
-    return MembershipResult(True, _expand(consumed + ((r.constant_value(), ()),)), None)
+    certificate = _expand(consumed + ((r.constant_value(), ()),), f.field)
+    return MembershipResult(True, certificate, None)
 
 
 def _echelon_insert(ech, p: Poly, combo: BivarExpr):
@@ -472,33 +469,20 @@ def _echelon_span(f: Poly, g: Poly, bound: int):
     products f^i g^j of weight i*deg f + j*deg g <= bound.  Constant
     generators contribute exponent zero only."""
     field = f.field
-    m = f.degree if not f.is_constant else None
-    n = g.degree if not g.is_constant else None
-    pairs = []
-    i = 0
-    while True:
-        wf = (m or 0) * i
-        if wf > bound:
-            break
-        j = 0
-        while True:
-            w = wf + (n or 0) * j
-            if w > bound:
-                break
-            pairs.append((w, i, j))
-            if n is None:
-                break
-            j += 1
-        if m is None:
-            break
-        i += 1
-    pairs.sort()
+    m = 0 if f.is_constant else f.degree
+    n = 0 if g.is_constant else g.degree
+    pairs = sorted(
+        (i * m + j * n, i, j)
+        for i in range(bound // m + 1 if m else int(bound >= 0))
+        for j in range((bound - i * m) // n + 1 if n else 1)
+    )
     ech = {}
     fpows = {0: Poly.one(field)}
     gpows = {0: Poly.one(field)}
+    one = field(1)
     for _, i, j in pairs:
         p = _cached_power(fpows, f, i) * _cached_power(gpows, g, j)
-        _echelon_insert(ech, p, BivarExpr.monomial(i, j))
+        _echelon_insert(ech, p, BivarExpr.monomial(i, j, one))
     return ech
 
 
@@ -507,7 +491,7 @@ def brute_force_member(u: Poly, f: Poly, g: Poly, bound: int):
     products f^i g^j of weight at most bound.  Returns a certificate or
     None; absence within the bound proves nothing."""
     # the remainder is r = u + eval(combo), so a zero r makes -combo the certificate
-    r, combo = _echelon_insert(_echelon_span(f, g, bound), u, BivarExpr.zero())
+    r, combo = _echelon_insert(_echelon_span(f, g, bound), u, BivarExpr.zero(f.field))
     if not r.is_zero:
         return None
     consumed = -combo

@@ -79,6 +79,30 @@ class TestCommonParameter:
         assert dec.f_tilde.compose(dec.h) == f
         assert dec.g_tilde.compose(dec.h) == g
 
+    def test_degree_one_needs_no_division(self, monkeypatch):
+        # coprime degrees leave only h = z; a pair with gcd 2 whose degree-2
+        # candidate fails shows that the counter sees the divisions it does
+        pairs = [
+            ((Z**2 + Z) ** 3, Z),
+            ((Z**3 + Z + const(1)) ** 2, Z**2 - Z.scale(3)),
+            (Z**5 + Z, Z**7 + Z**2),
+            (Z**4 + Z, Z**6 + Z**2),
+        ]
+        real = Poly.__divmod__
+        for f, g in pairs:
+            z = right_factor(f, 1)
+            want = (z, left_cofactor(f, z), left_cofactor(g, z))
+            calls = []
+            monkeypatch.setattr(Poly, "__divmod__", lambda a, b: calls.append(b) or real(a, b))
+            dec = common_parameter(f, g)
+            monkeypatch.undo()
+            assert tuple(dec) == want
+            assert dec.f_tilde == f and dec.g_tilde == g
+            if f.degree % 2 or g.degree % 2:
+                assert calls == []
+            else:
+                assert calls
+
     def test_both_constant(self):
         with pytest.raises(TrivialAlgebra):
             common_parameter(const(1), const(2))

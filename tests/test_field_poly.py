@@ -1,6 +1,7 @@
 """Exact polynomial, rational function, and two-variable expression layer."""
 
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -536,18 +537,26 @@ class TestBivarIntegerCore:
         r = {(1, 1): 1 / x, (0, 0): x + 1}
         q = {(1, 1): Fraction(2, 3), (2, 0): Fraction(-1, 7)}
         er, eq = BivarExpr(r), BivarExpr(q)
+        # the rational coefficients lifted into RatFunc, and a RatFunc map
+        # built from both kinds of coefficient
+        eqr = BivarExpr({k: RatFunc(c) for k, c in q.items()})
         assert er.field is RatFunc and er.den == 1
+        assert BivarExpr({**q, (3, 3): x}).field is RatFunc
         for got, want in (
-            (er + eq, _bref_add(r, q)),
-            (eq - er, _bref_add(q, {k: -v for k, v in r.items()})),
-            (eq * er, _bref_mul(q, r)),
-            (eq.scale(x), _bref_scale(q, x)),
+            (er + eqr, _bref_add(r, q)),
+            (eqr - er, _bref_add(q, {k: -v for k, v in r.items()})),
+            (eqr * er, _bref_mul(q, r)),
+            (eqr.scale(x), _bref_scale(q, x)),
             (er.scale(Fraction(3, 2)), _bref_scale(r, Fraction(3, 2))),
         ):
             assert got.field is RatFunc
             assert got.terms == want
-        # rational constants over RatFunc equal the same expression over Q
-        assert BivarExpr({k: RatFunc(c) for k, c in q.items()}) == eq
+        # an expression keeps its field: across fields, arithmetic raises
+        # and equal coefficients do not make equal expressions
+        for op in (lambda: er + eq, lambda: eq - er, lambda: eq * er, lambda: eq.scale(x)):
+            with pytest.raises(TypeError):
+                op()
+        assert eqr != eq and eqr.terms == eq.terms
         assert (er - er).is_zero
 
     @settings(deadline=None, max_examples=40)
@@ -564,11 +573,47 @@ class TestBivarIntegerCore:
         terms = {(0, 0): x, (1, 0): RatFunc(2), (2, 3): 1 / (x + 1), (0, 2): RatFunc(Fraction(-1, 5))}
         e = BivarExpr(terms)
         assert e.eval(f, g) == _bref_eval(terms, f, g)
-        # an expression over Q evaluates at RatFunc polynomials too
+        # an expression over Q evaluates at RatFunc polynomials once its
+        # coefficients are lifted into RatFunc, and not before
         q = {(1, 2): Fraction(2, 3), (3, 0): Fraction(-1)}
-        assert BivarExpr(q).eval(f, g) == _bref_eval(q, f, g)
+        assert BivarExpr({k: RatFunc(c) for k, c in q.items()}).eval(f, g) == _bref_eval(q, f, g)
+        with pytest.raises(TypeError):
+            BivarExpr(q).eval(f, g)
         with pytest.raises(TypeError):
             e.eval(Z, Z)
+        with pytest.raises(TypeError):
+            e.eval(f, Z)
+
+    def test_mixed_fields_raise(self):
+        x = RatFunc.x()
+        y = Poly.variable(RatFunc)
+        eq = BivarExpr({(1, 0): Fraction(1, 2), (0, 1): Fraction(3)})
+        er = BivarExpr({(1, 0): x, (0, 0): RatFunc(2)})
+        for a, b in ((eq, er), (er, eq)):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError, match="mixed coefficient fields"):
+                    op(a, b)
+            assert a != b
+        with pytest.raises(TypeError):
+            eq.scale(x)
+        with pytest.raises(TypeError, match="mixed coefficient fields"):
+            eq.eval(y, y)
+        with pytest.raises(TypeError, match="mixed coefficient fields"):
+            er.eval(Z, Z**2)
+        # BivarExpr shares Poly's check, so both word the error alike
+        with pytest.raises(TypeError, match="mixed coefficient fields: Fraction vs RatFunc"):
+            Z + y
+
+    def test_zero_and_unit_keep_the_field(self):
+        x = RatFunc.x()
+        er = BivarExpr({(1, 0): x})
+        for e, field in ((BivarExpr.X(), Fraction), (er, RatFunc)):
+            assert BivarExpr.zero(field).field is field and BivarExpr.zero(field).is_zero
+            assert e.scale(0).field is field and e.scale(0).is_zero
+            assert (e**0).field is field and (e**0).terms == {(0, 0): field(1)}
+            assert e - e == BivarExpr.zero(field)
+        assert BivarExpr.zero() == BivarExpr.zero(Fraction) != BivarExpr.zero(RatFunc)
+        assert er.scale(RatFunc(0)) == BivarExpr.zero(RatFunc)
 
 
 def test_every_exported_name_resolves():

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from amoh import BivarExpr, Poly, sagbi_basis
+from amoh import BivarExpr, Poly, RatFunc, sagbi_basis
 from amoh.decompose import Decomposition
-from amoh.jacobian import BiPoly, Prop21Report
+from amoh.jacobian import Prop21Report
 from amoh.line import LineReason, LineVerdict
 from amoh.subalgebra import (
     DeltaSequence,
@@ -125,17 +125,10 @@ class TestSagbiElement:
 
 
 class TestBiPoly:
-    def test_construction_repr_equality(self):
-        y = BiPoly.y()
-        assert y == BiPoly(yp=y.yp) and hash(y) == hash(BiPoly(y.yp))
-        assert y != BiPoly.x()
-        assert repr(y) == "BiPoly(yp=Poly([RatFunc([]), RatFunc([Fraction(1, 1)])]))"
+    """A plane map is a Poly in y over RatFunc(x), compared by value."""
 
-    def test_assignment_raises(self):
-        y = BiPoly.y()
-        for name in ("yp", "extra"):
-            with pytest.raises(AttributeError):
-                setattr(y, name, None)
-        with pytest.raises(AttributeError):
-            del y.yp
-        assert y == BiPoly.y()
+    def test_construction_repr_equality(self):
+        y = Poly.variable(RatFunc)
+        assert y == Poly([0, 1], RatFunc) and hash(y) == hash(Poly([0, 1], RatFunc))
+        assert y != Poly.constant(RatFunc.x(), RatFunc)
+        assert repr(y) == "Poly([RatFunc([]), RatFunc([Fraction(1, 1)])])"
