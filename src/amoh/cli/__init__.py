@@ -29,7 +29,7 @@ from ..errors import (
     ParseError,
     PreconditionViolated,
 )
-from ..field_poly import BivarExpr, Poly, RatFunc
+from ..field_poly import BivarExpr, Poly, RatFunc, _combine
 from ..jacobian import prop21_probe
 from ..line import is_line, random_line_curve
 from ..subalgebra import delta_sequence, is_member, sagbi_basis, semigroup_represent
@@ -125,14 +125,15 @@ class _Parser:
         a plane map) is nonzero."""
         deg = value.degree
         if value.field is Fraction:
-            xdeg, polys = 0, [value]
-            terms = len(value.nums) - value.nums.count(0)
+            nums, den, xdeg = value.nums, value.den, 0
+            terms = len(nums) - nums.count(0)
+            norm = abs(nums[-1]) if terms == 1 else sum(map(abs, nums))
         else:
             polys = [c.num for c in value.nums]
             xdeg = max((p.degree for p in polys if p), default=0)
             terms = sum(1 for p in polys if p)
-        den = math.lcm(*(p.den for p in polys))
-        norm = sum(sum(map(abs, p.nums)) * (den // p.den) for p in polys)
+            den = math.lcm(*(p.den for p in polys))
+            norm = sum(sum(map(abs, p.nums)) * (den // p.den) for p in polys)
         return (
             deg if isinstance(deg, int) else 0,
             xdeg,
@@ -167,18 +168,20 @@ class _Parser:
 
     def expr(self):
         kind, value, pos = self._peek()
+        sign = 1
         if kind == "sym" and value == "-":
             self._take()
-            acc = -self.term()
-        else:
-            acc = self.term()
-        while True:
-            kind, value, pos = self._peek()
-            if kind != "sym" or value not in "+-":
-                return acc
+            sign = -1
+        terms = [(sign, self.term())]
+        kind, value, pos = self._peek()
+        while kind == "sym" and value in "+-":
             self._take()
-            rhs = self.term()
-            acc = acc + rhs if value == "+" else acc - rhs
+            terms.append((1 if value == "+" else -1, self.term()))
+            kind, value, pos = self._peek()
+        if len(terms) == 1 and sign == 1:
+            return terms[0][1]
+        # one accumulator for all the terms: linear in the size of the sum
+        return _combine(terms, 1, terms[0][1].field)
 
     def term(self):
         acc = self.factor()

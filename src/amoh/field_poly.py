@@ -231,18 +231,29 @@ class Poly:
         a, b = self.nums, other.nums
         if not a or not b:
             return Poly.zero(self.field)
+        if self.field is not Fraction:
+            return Poly._make(_schoolbook_mul(a, b, self.field(0)), 1, self.field)
         short = a if len(a) <= len(b) else b
-        if self.field is Fraction and len(short) - short.count(0) >= _KRONECKER_MIN_TERMS:
+        terms = len(short) - short.count(0)
+        if terms == 1:
+            # a monomial c*z^d times the other operand: shift and scale it
+            long = b if short is a else a
+            c = short[-1]
+            if long.count(0) == len(long) - 1:
+                out = (0,) * (len(short) + len(long) - 2) + (c * long[-1],)
+            else:
+                out = (0,) * (len(short) - 1) + tuple(map(operator.mul, long, repeat(c)))
+        elif terms >= _KRONECKER_MIN_TERMS:
             out = _kronecker_mul(a, b)
         else:
-            out = _schoolbook_mul(a, b, 0 if self.field is Fraction else self.field(0))
-        return Poly._make(out, self.den * other.den, self.field)
+            out = _schoolbook_mul(a, b, 0)
+        return Poly._make(out, self.den * other.den, Fraction)
 
     __rmul__ = __mul__
 
     def scale(self, c):
         field = self.field
-        c = c if isinstance(c, field) else field(c)
+        c = c if isinstance(c, field) else self._coerce(c)
         if not c:
             return Poly.zero(field)
         if field is not Fraction:
@@ -312,6 +323,13 @@ class Poly:
             raise TypeError(
                 f"mixed coefficient fields: {self.field.__name__} vs {other.field.__name__}"
             )
+
+    def _coerce(self, c):
+        # a scalar not in self's field, into it; shared with BivarExpr.
+        # Rationals lift to RatFunc, but a RatFunc does not drop to Q.
+        if isinstance(c, RatFunc):
+            self._check_field(c)
+        return self.field(c)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -508,6 +526,11 @@ class RatFunc:
         return cls(Poly.variable(Fraction))
 
     @property
+    def field(self):
+        """RatFunc: a scalar's field, read as a Poly's field is."""
+        return RatFunc
+
+    @property
     def is_polynomial(self) -> bool:
         return self.den.is_constant
 
@@ -687,6 +710,7 @@ class BivarExpr:
         return not self.nums
 
     _check_field = Poly._check_field
+    _coerce = Poly._coerce
 
     def _add(self, other, op):
         self._check_field(other)
@@ -739,7 +763,7 @@ class BivarExpr:
 
     def scale(self, c) -> "BivarExpr":
         field = self.field
-        c = c if isinstance(c, field) else field(c)
+        c = c if isinstance(c, field) else self._coerce(c)
         if not c:
             return BivarExpr.zero(field)
         if field is not Fraction:
@@ -815,25 +839,31 @@ class BivarExpr:
 def _combine(terms, den, field) -> Poly:
     """sum(c * p for c, p in terms) / den, for nonzero coefficients c in
     the form BivarExpr stores them (integer numerators over Q): one
-    multiply-add pass per term over the numerators, one normalization."""
+    multiply-add pass per term over the numerators, one normalization.
+    A monomial over Q adds its one nonzero entry, so a sum of monomials
+    costs time linear in its size."""
     lcm = math.lcm(*(p.den for _, p in terms))
     acc = [0 if field is Fraction else field(0)] * max(len(p.nums) for _, p in terms)
     add, mul = operator.add, operator.mul
     for c, p in terms:
         k = c if p.den == lcm else c * (lcm // p.den)
-        n = len(p.nums)
-        acc[:n] = map(add, acc[:n], map(mul, p.nums, repeat(k, n)))
+        nums = p.nums
+        n = len(nums)
+        if field is Fraction and nums.count(0) == n - 1:
+            acc[n - 1] += nums[-1] * k
+        else:
+            acc[:n] = map(add, acc[:n], map(mul, nums, repeat(k, n)))
     return Poly._make(acc, den * lcm, field)
 
 
 # -- module-level operation surface ---------------------------------------
 
 
-def _cached_power(cache: dict, base, e: int):
+def _cached_power(cache: dict, base, e: int, mul=operator.mul):
     """base**e, memoized in cache (exponent -> power); e >= 1 unless the
     caller seeded cache[0].  Callers sweep nearby exponents, so a miss
     fills every exponent from the highest cached one below e, one
-    multiplication each."""
+    multiplication (mul) each."""
     cache.setdefault(1, base)
     got = cache.get(e)
     if got is not None:
@@ -844,7 +874,7 @@ def _cached_power(cache: dict, base, e: int):
     acc = cache[k]
     while k < e:
         k += 1
-        acc = acc * base
+        acc = mul(acc, base)
         cache[k] = acc
     return acc
 

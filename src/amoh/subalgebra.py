@@ -76,7 +76,7 @@ class SagbiElement(_Frozen):
     Equality and hash read poly and degree only."""
 
     def __init__(self, poly: Poly, recipe: tuple, degree: int):
-        self.__dict__.update(poly=poly, recipe=recipe, degree=degree, _pows={})
+        self.__dict__.update(poly=poly, recipe=recipe, degree=degree, _pows={}, _canon_pows={})
 
     def __repr__(self):
         return f"SagbiElement(poly={self.poly!r}, degree={self.degree!r})"
@@ -94,7 +94,7 @@ class SagbiElement(_Frozen):
         return _expand(self.recipe, self.poly.field)
 
 
-def _expand(recipe, field) -> BivarExpr:
+def _expand(recipe, field, implicit=None) -> BivarExpr:
     """Sum over the (coeff, ((source, exponent), ...)) terms of a recipe of
     coeff times the product of the sources' provenances to their exponents,
     as an expression over field.  A source is an earlier element or the
@@ -103,15 +103,23 @@ def _expand(recipe, field) -> BivarExpr:
     Each scaled term goes into one numerator dict over a running lcm
     denominator, as BivarExpr stores an expression; a key that cancels is
     popped, as BivarExpr._add does, so the terms keep the order of a
-    sequential sum."""
+    sequential sum.
+
+    With implicit (an _Implicit of the basis), the sources' powers are
+    taken in canonical form and the sum is reduced once, so the result is
+    canonical; the products of powers within a term are not reduced."""
     acc, den = {}, 1
     for coeff, factors in recipe:
         if not coeff:
             continue
         term = None
         for src, e in factors:
-            gen = isinstance(src, BivarExpr)
-            p = src**e if gen else _cached_power(src._pows, src.provenance, e)
+            if isinstance(src, BivarExpr):
+                p = src**e
+            elif implicit is None:
+                p = _cached_power(src._pows, src.provenance, e)
+            else:
+                p = implicit.power(src, e)
             term = p if term is None else term * p
         if term is None:
             term = BivarExpr.const(field(1))
@@ -130,7 +138,155 @@ def _expand(recipe, field) -> BivarExpr:
                 acc[k] = s
             else:
                 acc.pop(k, None)
+    if implicit is not None:
+        return implicit.reduce(acc, den)
     return BivarExpr._make(acc, den, field)
+
+
+class _Implicit:
+    """Reduction modulo the implicit equation R(X, Y) of a pair (f, g) over
+    Q, both nonconstant.
+
+    R generates every relation between f and g.  Its only term of Y-degree
+    m = deg f / deg h is c * Y^m for a constant c, where deg h is the gcd of
+    the basis degrees; so every element of k[f, g] has exactly one
+    expression with Y-degree below m, its remainder modulo R.  R itself is
+    found on first use, and not at all while every expression reduced
+    already has Y-degree below m."""
+
+    def __init__(self, f: Poly, g: Poly, m: int):
+        self.f, self.g, self.m = f, g, m
+
+    @cached_property
+    def equation(self) -> BivarExpr:
+        """R with coprime integer coefficients and c > 0.
+
+        The products f^i g^j go into an echelon form by increasing weight
+        i * deg f + j * deg g (then i), each with the combination that
+        rebuilds it.  Every relation is a multiple of R, so the first
+        product that the earlier ones span gives R; its weight is
+        deg f * deg g / deg h.  Rows are integer numerators of F^i G^j,
+        where F and G are the numerators of f and g, reduced fraction-free;
+        combinations are integer dicts."""
+        f, g, m = self.f, self.g, self.m
+        wf, wg = f.degree, g.degree
+        bound = m * wg
+        F, G = (Poly._make(p.nums, 1, Fraction) for p in (f, g))
+        fpows, gpows = {0: Poly.one()}, {0: Poly.one()}
+        ech = {}
+        for _, i, j in sorted(
+            (i * wf + j * wg, i, j)
+            for i in range(bound // wf + 1)
+            for j in range((bound - i * wf) // wg + 1)
+        ):
+            p = list((_cached_power(fpows, F, i) * _cached_power(gpows, G, j)).nums)
+            combo = {(i, j): 1}
+            while p:
+                row = ech.get(len(p) - 1)
+                if row is None:
+                    break
+                q, qcombo = row
+                gcd = math.gcd(p[-1], q[-1])
+                a, b = q[-1] // gcd, p[-1] // gcd
+                # a * p - b * q: the tops cancel
+                p = list(map(sub, map(mul, p, repeat(a)), map(mul, q, repeat(b))))
+                while p and not p[-1]:
+                    p.pop()
+                combo = {k: a * v for k, v in combo.items()}
+                for k, v in qcombo.items():
+                    s = combo.get(k, 0) - b * v
+                    if s:
+                        combo[k] = s
+                    else:
+                        combo.pop(k, None)
+            if not p:
+                # sum(combo[i, j] * F^i * G^j) == 0, and F^i * G^j is
+                # f^i * g^j times the i-th and j-th powers of the denominators
+                return self._normalize(
+                    {(i, j): v * f.den**i * g.den**j for (i, j), v in combo.items()}
+                )
+            content = math.gcd(*p, *combo.values())
+            if p[-1] < 0:
+                content = -content
+            ech[len(p) - 1] = ([x // content for x in p], {k: v // content for k, v in combo.items()})
+        raise InternalInconsistency(f"no relation between f and g up to weight {bound}")
+
+    def _normalize(self, nums: dict) -> BivarExpr:
+        # R's leading term in Y is c * Y^m, or the remainders are not unique
+        m = self.m
+        tops = [(i, j) for i, j in nums if j >= m]
+        if tops != [(0, m)]:
+            raise InternalInconsistency(
+                f"implicit equation is not monic of Y-degree {m}: terms {sorted(tops)}"
+            )
+        content = math.gcd(*nums.values())
+        if nums[0, m] < 0:
+            content = -content
+        return BivarExpr._make({k: v // content for k, v in nums.items()}, 1, Fraction)
+
+    @cached_property
+    def _rows(self):
+        """(c, rows): R = c * Y^m + the sum of v * X^i * Y^k over the
+        pairs (i, v) in rows[k]."""
+        m, nums = self.m, self.equation.nums
+        rows = [[] for _ in range(m)]
+        for (i, j), v in nums.items():
+            if j < m:
+                rows[j].append((i, v))
+        return nums[0, m], rows
+
+    def reduce(self, nums: dict, den: int) -> BivarExpr:
+        """The remainder modulo R of the expression nums / den over Q
+        (integer numerators), as a BivarExpr.
+
+        Rows of Y-degree j >= m are cleared from the top down, each by
+        subtracting its multiple of R * Y^(j - m) / c.  Clearing a row
+        divides it by c once, so scaling everything by c to the number of
+        such rows at the start makes every division exact."""
+        m = self.m
+        top = max((j for _, j in nums), default=-1)
+        if top < m:
+            return BivarExpr._make(nums, den, Fraction)
+        c, rows = self._rows
+        scale = c ** (top - m + 1)
+        by_row = {}
+        for (i, j), v in nums.items():
+            by_row.setdefault(j, {})[i] = v * scale
+        den *= scale
+        for j in range(top, m - 1, -1):
+            row = by_row.pop(j, None)
+            if not row:
+                continue
+            for k, rk in enumerate(rows):
+                if not rk:
+                    continue
+                out = by_row.setdefault(j - m + k, {})
+                for i1, v1 in row.items():
+                    q = v1 // c
+                    for i2, v2 in rk:
+                        key = i1 + i2
+                        s = out.get(key, 0) - q * v2
+                        if s:
+                            out[key] = s
+                        else:
+                            out.pop(key, None)
+        return BivarExpr._make(
+            {(i, j): v for j, row in by_row.items() for i, v in row.items()}, den, Fraction
+        )
+
+    def _mul(self, a: BivarExpr, b: BivarExpr) -> BivarExpr:
+        prod = a * b
+        return self.reduce(prod.nums, prod.den)
+
+    def power(self, el, e: int) -> BivarExpr:
+        """The canonical form of el's provenance to the e-th power, cached
+        on el apart from the plain powers: each power is the reduced
+        product of the one below and the reduced provenance."""
+        pows = el._canon_pows
+        if not pows:
+            prov = el.provenance
+            pows[1] = self.reduce(prov.nums, prov.den)
+        return _cached_power(pows, pows[1], e, self._mul)
 
 
 class SagbiBasis(namedtuple("SagbiBasis", "elements f g"), _Frozen):
@@ -143,6 +299,16 @@ class SagbiBasis(namedtuple("SagbiBasis", "elements f g"), _Frozen):
     @cached_property
     def _reducer(self) -> "_Reducer":
         return _Reducer(self.elements, self.f.field)
+
+    @cached_property
+    def _implicit(self):
+        """Reduction modulo the implicit equation over Q, or None: over
+        RatFunc, or with a constant generator, whose certificates use one
+        generator only and are canonical already."""
+        f, g = self.f, self.g
+        if f.field is not Fraction or f.is_constant or g.is_constant:
+            return None
+        return _Implicit(f, g, f.degree // math.gcd(*self.degrees))
 
 
 MembershipResult = namedtuple("MembershipResult", "member certificate obstruction_degree")
@@ -338,7 +504,7 @@ def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
     strictly decreases the degree, so this always terminates.  With
     certify=False consumed is not built and comes back as None."""
     r, consumed = basis._reducer.reduce(u)
-    return r, _expand(consumed, basis.f.field) if certify else None
+    return r, _expand(consumed, basis.f.field, basis._implicit) if certify else None
 
 
 def _adjoin(work, r: Poly, head: tuple, consumed: tuple) -> bool:
@@ -442,7 +608,7 @@ def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResu
         return MembershipResult(False, None, r.degree)
     if not certify:
         return MembershipResult(True, None, None)
-    certificate = _expand(consumed + ((r.constant_value(), ()),), f.field)
+    certificate = _expand(consumed + ((r.constant_value(), ()),), f.field, basis._implicit)
     return MembershipResult(True, certificate, None)
 
 

@@ -57,7 +57,7 @@ def _witness(alphas, deltas, basis) -> BivarExpr:
         if counts is None:
             raise InternalInconsistency(f"degree {delta} not realized by the basis")
         factors += ((red.by_degree[d], alpha * c) for d, c in counts.items())
-    return _expand(((1, tuple(factors)),), basis.f.field)
+    return _expand(((1, tuple(factors)),), basis.f.field, basis._implicit)
 
 
 def check_strong_am(f: Poly, g: Poly, a: int) -> StrongAmReport:

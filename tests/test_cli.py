@@ -171,6 +171,24 @@ class TestRendering:
         assert render_poly(Poly.zero(Fraction)) == "0"
         assert render_poly(-Z**2 - const(1)) == "-z^2 - 1"
 
+    def test_sums_add_no_polynomials(self, monkeypatch):
+        # the signed terms of a sum go into one accumulator, so a dense
+        # polynomial written term by term parses in time linear in its size
+        dense = Poly([Fraction((-1) ** k * (2**64 + k), k % 7 + 1) for k in range(3001)])
+        nested = -(Z - const(Fraction(1, 2))) ** 2 + Z * (const(3) - Z) - const(Fraction(1, 3))
+        calls = []
+        original = Poly._add
+
+        def counting(self, other, op):
+            calls.append(1)
+            return original(self, other, op)
+
+        monkeypatch.setattr(Poly, "_add", counting)
+        assert parse_poly(render_poly(dense)) == dense
+        assert parse_poly("-(z - 1/2)^2 + z*(3 - z) - 1/3") == nested
+        assert parse_poly("z - z + 0").is_zero
+        assert calls == []
+
     @settings(deadline=None)
     @given(
         st.lists(

@@ -15,7 +15,7 @@ import json
 
 from amoh.cli import corpus_pairs, main, render_poly
 
-PINNED = "6ae28d43d1be5e071e04af27160438365acb5ee2efe10e25dd402dff9291a15f"
+PINNED = "18435a1688fdd6b4a84257a8b5c5038708543bfb8eb5f69319e4c0d15b2e4f85"
 
 CURVES = [
     ("z^3", "z^6 + z^2"),

@@ -227,6 +227,18 @@ class TestIntegerCore:
         assert _schoolbook_mul(a, b, 0) == want
         assert _kronecker_mul(a, a) == _schoolbook_mul(a, a, 0)
 
+    @pytest.mark.parametrize("c", [Fraction(1), Fraction(-3), Fraction(2, 7), Fraction(2**70, 3**40)])
+    def test_monomial_products(self, c):
+        # a monomial factor shifts and scales the other one
+        others = [[Fraction(5)], [0, 0, Fraction(-1, 3)], [1, 0, Fraction(2, 9), 0, -4]]
+        others.append([Fraction(k - 7, k % 4 + 1) for k in range(3 * _KRONECKER_MIN_TERMS)])
+        for d in range(4):
+            mono = [0] * d + [c]
+            for other in others:
+                want = _ref_mul(mono, other)
+                assert list((Poly(mono) * Poly(other)).coeffs) == want
+                assert list((Poly(other) * Poly(mono)).coeffs) == want
+
     def test_kronecker_slots_hold_the_largest_coefficients(self):
         # full magnitudes of one sign put every product coefficient at its bound
         for bits in range(1, 40):
@@ -594,8 +606,9 @@ class TestBivarIntegerCore:
                 with pytest.raises(TypeError, match="mixed coefficient fields"):
                     op(a, b)
             assert a != b
-        with pytest.raises(TypeError):
-            eq.scale(x)
+        for value in (eq, Z):
+            with pytest.raises(TypeError, match="mixed coefficient fields: Fraction vs RatFunc"):
+                value.scale(x)
         with pytest.raises(TypeError, match="mixed coefficient fields"):
             eq.eval(y, y)
         with pytest.raises(TypeError, match="mixed coefficient fields"):

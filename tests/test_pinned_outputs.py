@@ -28,7 +28,7 @@ from amoh.subalgebra import _sagbi_cached
 
 from conftest import Z, const
 
-PINNED = "8f3739940f208113645dd5a1387ce19d9c0be6172a79a56a37d350d346c23d19"
+PINNED = "93ed1d9ac9957a9b56ab473330e0d0af681af097e1b9a8f4ef1fa3b8d3b1e546"
 
 
 def _expr(e):

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from amoh import (
     BivarExpr,
+    InternalInconsistency,
     InternalLimitExceeded,
     NotInSemigroup,
     Poly,
@@ -30,7 +31,7 @@ from amoh import (
     semigroup_represent,
     subduct,
 )
-from amoh.subalgebra import _reachable
+from amoh.subalgebra import _reachable, _sagbi_cached
 
 from conftest import Z, const
 
@@ -553,6 +554,127 @@ class TestBruteForceOracle:
         # an insufficient bound may miss a member but must never invent one
         f, g = example_curve
         assert brute_force_member(Z, f, g, 30) is None
+
+
+# (f, g, m = deg f / deg h): faithful pairs with monic, rational and
+# non-monic generators, deg f above and below deg g, and one unfaithful
+# pair (h = z^2)
+_CANONICAL_CURVES = [
+    (Z**3, Z**6 + Z**2, 3),
+    (Z**2 - const(2), Z**4 - (Z**2).scale(5) + Z + const(5), 2),
+    (Z**5, Z**7, 5),
+    (Z**4 + Z**3 + Z.scale(2), Z**6 + Z**2 + Z, 4),
+    (*_rational_pair(), 2),
+    ((Z**3).scale(Fraction(1, 2)) - Z, Z**2 + const(3), 3),
+    (Z**6 + Z**2, Z**3, 6),
+    (Z**4 + Z**2, Z**6, 2),
+]
+
+
+def _y_degree(expr):
+    return max((j for _, j in expr.nums), default=-1)
+
+
+class TestCanonicalCertificates:
+    """Over Q a certificate is the one expression of its value with
+    Y-degree below m = deg f / deg h: the remainder modulo the implicit
+    equation R."""
+
+    @pytest.mark.parametrize("f, g, m", _CANONICAL_CURVES)
+    def test_equation_vanishes_and_is_monic_in_y(self, f, g, m):
+        implicit = sagbi_basis(f, g)._implicit
+        assert implicit.m == m
+        R = implicit.equation
+        assert R.eval(f, g).is_zero
+        assert [(i, j) for i, j in R.nums if j >= m] == [(0, m)] and R.nums[0, m] > 0
+        assert R.den == 1 and math.gcd(*R.nums.values()) == 1
+
+    @pytest.mark.parametrize("f, g, m", _CANONICAL_CURVES)
+    def test_certificates_are_reduced_brute_force_certificates(self, f, g, m):
+        # uniqueness: the certificate from subduction and the one from
+        # linear algebra over all products f^i g^j agree once reduced
+        rng = random.Random(f"{f!r}{g!r}")
+        implicit = sagbi_basis(f, g)._implicit
+        top = max(f.degree, g.degree)
+        queries = [const(3), f * g, g**3 - f.scale(Fraction(1, 2))]
+        for weight in (2 * top, 3 * top, 4 * top):
+            terms = {}
+            for _ in range(5):
+                i = rng.randint(0, weight // f.degree)
+                j = rng.randint(0, (weight - i * f.degree) // g.degree)
+                terms[i, j] = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            queries.append(eval_bivariate(BivarExpr(terms), f, g))
+        for u in queries:
+            if u.is_zero:
+                continue
+            cert = is_member(u, f, g).certificate
+            assert eval_bivariate(cert, f, g) == u
+            assert _y_degree(cert) < m
+            other = brute_force_member(u, f, g, max(u.degree, 0) + 4 * top)
+            assert implicit.reduce(other.nums, other.den) == cert
+
+    def test_unfaithful_pair_reduces_with_the_inner_degrees(self):
+        # f = h^2 + h, g = h^3 with h = z^2: R is the relation of (w^2 + w, w^3)
+        f, g = Z**4 + Z**2, Z**6
+        R = sagbi_basis(f, g)._implicit.equation
+        X, Y = BivarExpr.X(), BivarExpr.Y()
+        assert R == Y**2 + (X * Y).scale(3) + Y - X**3
+        cert = is_member(g**3 + f * g**2, f, g).certificate
+        assert _y_degree(cert) < 2 and eval_bivariate(cert, f, g) == g**3 + f * g**2
+
+    def test_expression_below_m_needs_no_equation(self):
+        # the t12-18 certificates of low weight never search for R
+        f, g = Z**12 + Z, Z**18 + Z**2
+        _sagbi_cached.cache_clear()
+        basis = sagbi_basis(f, g)
+        cert = is_member(f**3 * g**2 - g.scale(7) + f, f, g).certificate
+        assert _y_degree(cert) < 12
+        assert "equation" not in basis._implicit.__dict__
+
+    def test_wrong_y_degree_is_an_internal_error(self):
+        # with m = 4 the search stops at weight 24 past R (weight 12), whose
+        # Y-degree is 2, not 4
+        from amoh.subalgebra import _Implicit
+
+        with pytest.raises(InternalInconsistency, match="not monic of Y-degree 4"):
+            _Implicit(Z**4 + Z**2, Z**6, 4).equation
+        with pytest.raises(InternalInconsistency, match="no relation"):
+            _Implicit(Z**3, Z**6 + Z**2, 1).equation
+
+    def test_no_reduction_over_ratfunc_or_with_a_constant_generator(self):
+        from amoh import RatFunc
+
+        y = Poly.variable(RatFunc)
+        assert sagbi_basis(y**2, y**3)._implicit is None
+        assert sagbi_basis(const(2), Z**3 + Z)._implicit is None
+        cert = is_member((Z**3 + Z) ** 4, const(2), Z**3 + Z).certificate
+        assert cert == BivarExpr.monomial(0, 4)
+
+    def test_degree_200_query_over_a_degree_1_basis(self):
+        # the basis is {z - 1}; the certificate was (deg u + 1)^2 = 40401
+        # terms when each power of its provenance was expanded in full
+        f, g = Z**2 - const(2), Z**4 - (Z**2).scale(5) + Z + const(5)
+        u = Poly([1] * 201)
+        cert = is_member(u, f, g).certificate
+        assert len(cert.nums) <= 202
+        assert eval_bivariate(cert, f, g) == u
+
+    def test_equation_matches_the_resultant(self):
+        sympy = pytest.importorskip("sympy")
+        z, X, Y = sympy.symbols("z X Y")
+
+        def to_sympy(p):
+            return sum(sympy.Rational(c.numerator, c.denominator) * z**k
+                       for k, c in enumerate(p.coeffs))
+
+        for f, g, m in _CANONICAL_CURVES:
+            if m != f.degree:
+                continue  # unfaithful: the resultant is a power of R
+            res = sympy.Poly(sympy.resultant(to_sympy(f) - X, to_sympy(g) - Y, z), X, Y)
+            want = {k: Fraction(int(c.p), int(c.q)) for k, c in res.terms()}
+            got = sagbi_basis(f, g)._implicit.equation.nums
+            scalar = want[0, m] / got[0, m]
+            assert want == {k: scalar * c for k, c in got.items()}
 
 
 class TestDeltaSequence:

@@ -11,7 +11,9 @@ from amoh import (
     check_prop22,
     check_strong_am,
     eval_bivariate,
+    sagbi_basis,
 )
+from amoh.cli import corpus_pairs
 
 from conftest import Z, const
 
@@ -26,6 +28,19 @@ class TestStrongAm:
         u = eval_bivariate(rep.u_witness, f, g)
         v = eval_bivariate(rep.v_witness, f, g)
         assert u.degree == 2 and v.degree == 5
+
+    def test_witnesses_over_a_degree_1_basis_are_canonical(self):
+        # the basis of this line is one element h of degree 1, so the
+        # witnesses are h^23 and h^7 (12650 and 1218 terms when the powers
+        # of h's provenance were expanded in full); reduced modulo the
+        # implicit equation they have Y-degree below deg f = 24
+        f, g = next((f, g) for _, f, g in corpus_pairs(150, 9) if (f.degree, g.degree) == (24, 8))
+        (h,) = sagbi_basis(f, g).elements
+        rep = check_strong_am(f, g, 1)
+        for witness, degree in ((rep.u_witness, 23), (rep.v_witness, 7)):
+            assert len(witness.nums) <= 150
+            assert max(j for _, j in witness.nums) < 24
+            assert eval_bivariate(witness, f, g) == h.poly**degree
 
     def test_not_applicable_two_three(self):
         rep = check_strong_am(Z**2, Z**3, 1)
