@@ -782,30 +782,65 @@ class BivarExpr:
     def eval(self, f: Poly, g: Poly) -> Poly:
         """Substitute X -> f and Y -> g and expand exactly.
 
-        Terms are grouped in rows by their X exponent.  A row, the sum of
-        c_ij * g^j, is one linear combination of cached powers of g, and
-        Horner in f runs over the rows: one product per distinct X exponent
-        rather than one per term, which matters for the certificates of
-        high-degree members.
+        Horner runs over the generator with fewer distinct exponents, the
+        short axis: Y for every canonical certificate, whose Y-degree is
+        below m.  Each of its exponents has a row, the sum of c_ij times
+        powers of the other generator.  Those powers are streamed in
+        increasing order, each one product from the one before, and each
+        is added into the row accumulators of its terms as it comes, so
+        only the current power is held.  Horner then does one product per
+        row.  Over Q a power of a generator in lowest terms is in lowest
+        terms too, so the e-th has denominator den**e and every row sits
+        over den**(top exponent).
         """
         self._check_field(f)
         self._check_field(g)
-        field, den = self.field, self.den
-        rows: dict = {}
-        for (i, j), c in self.nums.items():
-            rows.setdefault(i, []).append((c, j))
-        fpows = {}
-        gpows = {0: Poly.one(field)}
-        total = Poly.zero(field)
-        prev = None
-        for i in sorted(rows, reverse=True):
+        field = self.field
+        keys = self.nums.keys()
+        if len({i for i, _ in keys}) < len({j for _, j in keys}):
+            outer, inner = f, g
+            terms = sorted((j, i, c) for (i, j), c in self.nums.items())
+        else:
+            outer, inner = g, f
+            terms = sorted((i, j, c) for (i, j), c in self.nums.items())
+        if not terms:
+            return Poly.zero(field)
+        lcm = inner.den ** terms[-1][0]
+        zero = 0 if field is Fraction else field(0)
+        add, mul = operator.add, operator.mul
+        rows = {}
+        steps = {}
+        power, at = Poly.one(field), 0
+        pnums, n, scale, mono = power.nums, 1, lcm, True
+        for e, r, c in terms:
+            if e != at:
+                power = power * _cached_power(steps, inner, e - at)
+                if not power:
+                    break  # a zero generator: this term and all later ones vanish
+                at = e
+                pnums, n, scale = power.nums, len(power.nums), lcm // power.den
+                mono = field is Fraction and pnums.count(0) == n - 1
+            k = c * scale
+            acc = rows.get(r)
+            if acc is None:
+                rows[r] = list(map(mul, pnums, repeat(k)))
+                continue
+            acc.extend(repeat(zero, n - len(acc)))
+            if mono:
+                acc[-1] += pnums[-1] * k
+            else:
+                rows[r] = list(map(add, acc, map(mul, pnums, repeat(k))))
+        # Horner over the rows, top exponent first
+        den = self.den * lcm
+        outer_pows = {}
+        total, prev = Poly.zero(field), None
+        for r in sorted(rows, reverse=True):
             if prev is not None:
-                total = total * _cached_power(fpows, f, prev - i)
-            row = [(c, _cached_power(gpows, g, j)) for c, j in rows[i]]
-            total = total + _combine(row, den, field)
-            prev = i
+                total = total * _cached_power(outer_pows, outer, prev - r)
+            total = total + Poly._make(rows[r], den, field)
+            prev = r
         if prev:
-            total = total * _cached_power(fpows, f, prev)
+            total = total * _cached_power(outer_pows, outer, prev)
         return total
 
     def sorted_terms(self):

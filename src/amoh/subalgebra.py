@@ -29,7 +29,7 @@ import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import mul, sub
 
 from .errors import (
@@ -73,10 +73,14 @@ class _Frozen:
 class SagbiElement(_Frozen):
     """One basis element: a monic polynomial, its recipe and its degree.
     The provenance (it evaluates to poly) and its powers are built on read.
-    Equality and hash read poly and degree only."""
+    Equality and hash read poly and degree only; the hash is taken once, as
+    recipe factors are memo keys."""
 
     def __init__(self, poly: Poly, recipe: tuple, degree: int):
-        self.__dict__.update(poly=poly, recipe=recipe, degree=degree, _pows={}, _canon_pows={})
+        self.__dict__.update(
+            poly=poly, recipe=recipe, degree=degree, _pows={}, _canon_pows={},
+            _hash=hash((poly, degree)),
+        )
 
     def __repr__(self):
         return f"SagbiElement(poly={self.poly!r}, degree={self.degree!r})"
@@ -87,7 +91,7 @@ class SagbiElement(_Frozen):
         return (self.poly, self.degree) == (other.poly, other.degree)
 
     def __hash__(self):
-        return hash((self.poly, self.degree))
+        return self._hash
 
     @cached_property
     def provenance(self) -> BivarExpr:
@@ -105,24 +109,26 @@ def _expand(recipe, field, implicit=None) -> BivarExpr:
     popped, as BivarExpr._add does, so the terms keep the order of a
     sequential sum.
 
-    With implicit (an _Implicit of the basis), the sources' powers are
-    taken in canonical form and the sum is reduced once, so the result is
-    canonical; the products of powers within a term are not reduced."""
+    With implicit (an _Implicit of the basis), each term's product is the
+    canonical one that implicit memoizes per factorization, so the sum is
+    one scaled sum of cached expressions, canonical already, and its final
+    reduction returns at once."""
     acc, den = {}, 1
     for coeff, factors in recipe:
         if not coeff:
             continue
-        term = None
-        for src, e in factors:
-            if isinstance(src, BivarExpr):
-                p = src**e
-            elif implicit is None:
-                p = _cached_power(src._pows, src.provenance, e)
-            else:
-                p = implicit.power(src, e)
-            term = p if term is None else term * p
-        if term is None:
-            term = BivarExpr.const(field(1))
+        if implicit is not None:
+            term = implicit.product(factors)
+        else:
+            term = None
+            for src, e in factors:
+                if isinstance(src, BivarExpr):
+                    p = src**e
+                else:
+                    p = _cached_power(src._pows, src.provenance, e)
+                term = p if term is None else term * p
+            if term is None:
+                term = BivarExpr.const(field(1))
         nums, tden = term.nums, term.den
         if field is Fraction:
             # coeff * nums / tden over the running lcm of the denominators
@@ -152,10 +158,14 @@ class _Implicit:
     the basis degrees; so every element of k[f, g] has exactly one
     expression with Y-degree below m, its remainder modulo R.  R itself is
     found on first use, and not at all while every expression reduced
-    already has Y-degree below m."""
+    already has Y-degree below m.
+
+    Canonical products of element powers are memoized per factorization,
+    as _Reducer memoizes the monic products that subduction subtracts."""
 
     def __init__(self, f: Poly, g: Poly, m: int):
         self.f, self.g, self.m = f, g, m
+        self.products = {}
 
     @cached_property
     def equation(self) -> BivarExpr:
@@ -288,6 +298,21 @@ class _Implicit:
             pows[1] = self.reduce(prov.nums, prov.den)
         return _cached_power(pows, pows[1], e, self._mul)
 
+    def product(self, factors) -> BivarExpr:
+        """The canonical form of the product of the factors' provenances to
+        their exponents, built once per factors tuple from the canonical
+        powers, each partial product reduced.  A single factor's product is
+        the cached power itself."""
+        got = self.products.get(factors)
+        if got is None:
+            for el, e in factors:
+                p = self.power(el, e)
+                got = p if got is None else self._mul(got, p)
+            if got is None:
+                got = BivarExpr.const(Fraction(1))
+            self.products[factors] = got
+        return got
+
 
 class SagbiBasis(namedtuple("SagbiBasis", "elements f g"), _Frozen):
     # Without __slots__ an instance has a __dict__, which holds the reducer.
@@ -385,13 +410,23 @@ def _reachable(degrees, bound: int, start=b"\x01") -> bytearray:
 
 _MISSING = object()
 
+# A subduction step subtracts a memoized product entry by entry, in place,
+# when at most 1 / _SPARSE_MAX_FILL of the entries below its lead are
+# nonzero, and in one dense pass otherwise.  Entry by entry costs about half
+# the dense pass at half fill and gains little or loses above three
+# quarters (measured on CPython 3.11 over the products of the benchmark
+# workloads and random ones up to length 1000; see CHANGES.md).
+_SPARSE_MAX_FILL = 2
+
 
 class _Reducer:
     """Subduction engine over elements with pairwise distinct degrees.
 
     Keeps suffix reachability tables for the greedy factorization (largest
     degree first), memoizes element powers and, per degree, the monic
-    product that subduction subtracts; all grow on demand.
+    product that subduction subtracts; all grow on demand.  A sparse
+    product is memoized by its support alone, which a step subtracts
+    entry by entry, and a dense one by all its numerators.
     """
 
     def __init__(self, items, scalar_field, budget: _Budget | None = None):
@@ -439,10 +474,14 @@ class _Reducer:
                 deg -= c * d
         return counts
 
-    def product(self, deg: int):
-        """(monic product of element powers of degree deg, its recipe
-        factors), built from factor(deg) once per degree; None if deg is not
-        representable.  A single-factor product is the cached power itself."""
+    def _memo(self, deg: int):
+        """The memo entry of degree deg, built from factor(deg) once: None
+        if deg is not representable, else (factors, den, nums, support)
+        for the monic product of element powers of degree deg.  A dense
+        product keeps all its numerators over den (a single factor's are
+        its cached power's) and support None; a sparse one keeps only its
+        support, the indexes of its nonzero entries below the lead, and
+        their numerators."""
         got = self.products.get(deg, _MISSING)
         if got is not _MISSING:
             return got
@@ -454,9 +493,28 @@ class _Reducer:
             for el, c in factors:
                 pw = _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
                 p = pw if p is None else p * pw
-            got = (p, factors)
+            nums, support = p.nums, None
+            low = nums[:-1]
+            if self.field is Fraction and (deg - low.count(0)) * _SPARSE_MAX_FILL <= deg:
+                support = tuple(compress(range(deg), low))
+                nums = tuple(map(low.__getitem__, support))
+            got = (factors, p.den, nums, support)
         self.products[deg] = got
         return got
+
+    def product(self, deg: int):
+        """(monic product of element powers of degree deg, its recipe
+        factors), from the memo; None if deg is not representable."""
+        got = self._memo(deg)
+        if got is None:
+            return None
+        factors, den, nums, support = got
+        if support is not None:
+            dense = [0] * deg + [den]
+            for k, v in zip(support, nums):
+                dense[k] = v
+            nums = dense
+        return Poly._make(nums, den, self.field), factors
 
     def reduce(self, u: Poly):
         """Subduct u; returns (remainder, consumed) with consumed a recipe
@@ -464,26 +522,27 @@ class _Reducer:
         constant or has leading degree outside the degree semigroup.
 
         The remainder is one list of numerators over one denominator d, as
-        Poly stores it; each step is one multiply-subtract pass over it,
-        and it becomes a Poly, in lowest terms, only at the end."""
+        Poly stores it, and it becomes a Poly, in lowest terms, only at the
+        end.  A dense step is one multiply-subtract pass over it, scaling
+        included; a sparse step scales it in one pass if it must, then
+        subtracts the product's support in place, entry by entry."""
         field = self.field
         if u.field is not field:
             raise TypeError("polynomial is over a different field than the basis")
         nums, d = list(u.nums), u.den
         consumed = []
         while len(nums) > 1:
-            got = self.product(len(nums) - 1)
+            got = self._memo(len(nums) - 1)
             if got is None:
                 break
             if self.budget is not None:
                 self.budget.tick("subduction")
-            prod, factors = got
+            factors, dp, pnums, support = got
             top = nums.pop()
             consumed.append((Fraction(top, d) if field is Fraction else top, factors))
             # r - (top / d) * prod, with prod = pnums / dp monic (lead dp):
             # over d * s, with s = dp / gcd(top, dp), it is
             # s * nums - (top * s / dp) * pnums, and the tops cancel
-            dp = prod.den
             rest = nums
             if dp != 1:
                 g = math.gcd(top, dp)
@@ -492,7 +551,13 @@ class _Reducer:
                 if s != 1:
                     d *= s
                     rest = map(mul, nums, repeat(s))
-            nums = list(map(sub, rest, map(mul, prod.nums, repeat(top))))
+            if support is None:
+                nums = list(map(sub, rest, map(mul, pnums, repeat(top))))
+            else:
+                if rest is not nums:
+                    nums = list(rest)
+                for k, v in zip(support, pnums):
+                    nums[k] -= v * top
             while nums and not nums[-1]:
                 nums.pop()
         return Poly._make(nums, d, field), tuple(consumed)

@@ -629,6 +629,95 @@ class TestBivarIntegerCore:
         assert er.scale(RatFunc(0)) == BivarExpr.zero(RatFunc)
 
 
+def _eval_shapes():
+    """Expressions wide in X, wide in Y, square and gappy, a constant and
+    the empty one."""
+    wide_x = {(i, j): Fraction((-1) ** i * (i + 1), j + 2) for i in range(13) for j in range(2)}
+    wide_y = {(j, i): c for (i, j), c in wide_x.items()}
+    square = {(i, j): Fraction(i - j, i + j + 1) for i in range(5) for j in range(5) if i != j}
+    gappy = {(0, 0): Fraction(1), (7, 1): Fraction(-3, 4), (2, 9): Fraction(5), (11, 0): Fraction(1, 6)}
+    return [wide_x, wide_y, square, gappy, {(0, 0): Fraction(-7, 3)}, {}]
+
+
+class TestShortAxisEval:
+    """eval runs Horner over the generator with fewer distinct exponents
+    and streams the powers of the other into row accumulators; against
+    term-by-term substitution, the sum of c * f^i * g^j."""
+
+    @pytest.mark.parametrize("f, g", [
+        (Z**2 - const(Fraction(1, 3)), Z**3 + Z.scale(Fraction(5, 2))),
+        (Z**5, Z**7),
+        (Z**4 + Z**3 + Z.scale(2), Z**6 + Z**2 + Z),
+        (const(Fraction(-2, 5)), Z**2 + const(Fraction(1, 7))),
+        (Poly.zero(), Z + const(1)),
+        (Z**3 - Z, Poly.zero()),
+    ])
+    def test_shapes_over_q(self, f, g):
+        for terms in _eval_shapes():
+            assert BivarExpr(terms).eval(f, g) == _bref_eval(terms, f, g)
+
+    def test_shapes_over_ratfunc(self):
+        # the jacobian-probe path: plane maps are polynomials in y over k(x)
+        x = RatFunc.x()
+        y = Poly.variable(RatFunc)
+        pairs = [
+            (y**2 + Poly.constant(x), y.scale(1 / x) + Poly.constant(RatFunc(3))),
+            (y.scale(x + 1) ** 3 - y, y + Poly.constant(x**2)),
+            (y + Poly.constant(1 / (x - 1)), Poly.zero(RatFunc)),
+        ]
+        for f, g in pairs:
+            for terms in _eval_shapes():
+                lifted = {(i, j): c + x / (x + i + 1) for (i, j), c in terms.items()}
+                e = BivarExpr(lifted) if lifted else BivarExpr.zero(RatFunc)
+                assert e.eval(f, g) == _bref_eval(lifted, f, g)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 9), st.integers(0, 9)),
+            st.fractions(min_value=-20, max_value=20, max_denominator=9).filter(bool),
+            max_size=14,
+        ),
+        qpoly(4, 9),
+        qpoly(4, 9),
+    )
+    def test_matches_term_by_term_substitution(self, terms, f, g):
+        assert BivarExpr(terms).eval(f, g) == _bref_eval(terms, f, g)
+
+    def test_one_product_per_streamed_exponent_and_per_row(self, monkeypatch):
+        # 13 X exponents and 2 Y exponents: Horner over Y
+        terms = _eval_shapes()[0]
+        f, g = Z**2 + Z + const(1), Z**3 - const(2)
+        calls = []
+        original = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        got = BivarExpr(terms).eval(f, g)
+        monkeypatch.undo()
+        assert got == _bref_eval(terms, f, g)
+        assert len(calls) == 12 + 1
+
+    def test_holds_one_power_of_the_long_axis(self):
+        # 151 X exponents: holding every power of f would take about 1.2 MB
+        import tracemalloc
+
+        f, g = Z**2 + Z + const(1), Z**3
+        e = BivarExpr({(i, j): Fraction(i + 1, j + 1) for i in range(151) for j in range(2)})
+        want = _bref_eval(e.terms, f, g)
+        tracemalloc.start()
+        try:
+            got = e.eval(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 500_000
+
+
 def test_every_exported_name_resolves():
     import importlib
     import pkgutil

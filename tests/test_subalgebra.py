@@ -434,6 +434,73 @@ class TestSubductionKernel:
         assert math.gcd(r.den, *r.nums) == 1 and r.nums[-1]
         assert kernel_s < reference_s
 
+    def test_memo_entries_on_both_sides_of_the_sparsity_cutoff(self):
+        # an entry keeps only its support, the nonzero entries below the
+        # lead, exactly when at most 1 / _SPARSE_MAX_FILL of them are
+        # nonzero; product() gives the same monic product either way
+        from amoh.subalgebra import _SPARSE_MAX_FILL, _Reducer
+
+        kinds = set()
+        for f, g in ((Z**5, Z**7), (Z**12 + Z, Z**18 + Z**2),
+                     (Z**4 + Z**3 + Z.scale(2), Z**6 + Z**2 + Z), _rational_pair()):
+            reducer = _Reducer(sagbi_basis(f, g).elements, Fraction)
+            for deg in range(1, 80):
+                got = reducer.product(deg)
+                if got is None:
+                    continue
+                prod, factors = got
+                want = const(1)
+                for el, c in factors:
+                    want = want * el.poly**c
+                assert prod == want and prod.degree == deg and prod.lead == 1
+                low = prod.nums[:-1]
+                support = tuple(k for k, v in enumerate(low) if v)
+                sparse = len(support) * _SPARSE_MAX_FILL <= deg
+                kinds.add(sparse)
+                entry = reducer._memo(deg)
+                assert entry[:2] == (factors, prod.den)
+                if sparse:
+                    assert entry[2:] == (tuple(low[k] for k in support), support)
+                else:
+                    assert entry[2:] == (prod.nums, None)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize("f, g", [
+        (Z**5, Z**7),  # every product a monomial: all steps sparse
+        (Z**12 + Z, Z**18 + Z**2),  # sparse, with denominators 3^k
+        (Z**4 + Z**3 + Z.scale(2), Z**6 + Z**2 + Z),  # sparse and dense
+        _rational_pair(),  # dense, with rational denominators
+    ])
+    def test_sparse_and_dense_steps_match_the_reference(self, f, g):
+        rng = random.Random(f"{f!r}{g!r}")
+        queries = []
+        for weight in (20, 45, 90):
+            terms = {
+                (i, j): Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+                for i in range(weight // f.degree + 1)
+                for j in range((weight - i * f.degree) // g.degree + 1)
+            }
+            queries.append(eval_bivariate(BivarExpr(terms), f, g))
+            queries.append(_random_poly(rng, weight, Fraction(-rng.randint(1, 50), rng.randint(1, 7))))
+        queries.append(Poly([rng.randint(-9, 9) for _ in range(61)] + [-2]))
+        self._check(f, g, queries)
+
+    def test_scaled_sparse_step(self):
+        # the degree-25 element of t12-18 has denominator 3, so the sparse
+        # products built with it do too; on an integral query whose lead
+        # that denominator does not divide, the first step rescales the
+        # remainder before it subtracts the support
+        f, g = Z**12 + Z, Z**18 + Z**2
+        basis = sagbi_basis(f, g)
+        assert basis.degrees == (12, 18, 25) and basis.elements[2].poly.den == 3
+        rng = random.Random(25)
+        queries = [Poly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
+                   for deg, lead in ((25, -1), (50, 7), (61, 2), (73, -5))]
+        for u in queries:
+            _, den, _, support = basis._reducer._memo(u.degree)
+            assert support is not None and den % 3 == 0 and u.lead.numerator % den
+        self._check(f, g, queries)
+
 
 def _sequential_expand(recipe, field):
     """A recipe summed one scaled term at a time with BivarExpr's +."""
@@ -630,6 +697,59 @@ class TestCanonicalCertificates:
         cert = is_member(f**3 * g**2 - g.scale(7) + f, f, g).certificate
         assert _y_degree(cert) < 12
         assert "equation" not in basis._implicit.__dict__
+
+    def test_t12_18_certificates_up_to_weight_140_need_no_equation(self):
+        # every product of the t12-18 member queries of the benchmark has
+        # Y-degree below 12, so memoizing canonical products never needs R;
+        # and a certificate below m is the query's own expression
+        f, g = Z**12 + Z, Z**18 + Z**2
+        _sagbi_cached.cache_clear()
+        basis = sagbi_basis(f, g)
+        rng = random.Random(140)
+        for weight in (60, 100, 140):
+            terms = {
+                (i, j): Fraction(rng.randint(-3, 3) or 1, rng.choice((1, 2, 3)))
+                for i in range(weight // 12 + 1)
+                for j in range((weight - 12 * i) // 18 + 1)
+            }
+            u = eval_bivariate(BivarExpr(terms), f, g)
+            assert is_member(u, f, g).certificate == BivarExpr(terms)
+        assert basis._implicit.products
+        assert "equation" not in basis._implicit.__dict__
+
+    def test_memo_entries_are_reduced_products(self):
+        for f, g, m in _CANONICAL_CURVES:
+            implicit = sagbi_basis(f, g)._implicit
+            for u in (f**4 * g**3 + g, f**2 * g**5 - f**7 + const(3)):
+                assert is_member(u, f, g).member
+            assert implicit.products
+            for factors, expr in implicit.products.items():
+                unreduced = BivarExpr.const(Fraction(1))
+                for el, e in factors:
+                    unreduced = unreduced * el.provenance**e
+                assert implicit.reduce(unreduced.nums, unreduced.den) == expr
+                assert _y_degree(expr) < m
+
+    def test_warm_certificates_multiply_no_expressions(self, monkeypatch):
+        # each factorization's canonical product is memoized on the basis,
+        # so a repeated certified query only sums cached expressions
+        cases = [
+            (f, g, u)
+            for f, g, _ in _CANONICAL_CURVES + [(Z**12 + Z, Z**18 + Z**2, 12)]
+            for u in (f**3 * g**2 - g.scale(Fraction(7, 3)) + f, (f * g + const(2)) ** 3)
+        ]
+        first = [is_member(u, f, g) for f, g, u in cases]
+        calls = []
+        original = BivarExpr.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(BivarExpr, "__mul__", counting)
+        again = [is_member(u, f, g) for f, g, u in cases]
+        assert calls == []
+        assert again == first and all(r.member for r in first)
 
     def test_wrong_y_degree_is_an_internal_error(self):
         # with m = 4 the search stops at weight 24 past R (weight 12), whose
