@@ -494,10 +494,10 @@ class _Reducer:
                 pw = _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
                 p = pw if p is None else p * pw
             nums, support = p.nums, None
-            low = nums[:-1]
-            if self.field is Fraction and (deg - low.count(0)) * _SPARSE_MAX_FILL <= deg:
-                support = tuple(compress(range(deg), low))
-                nums = tuple(map(low.__getitem__, support))
+            # the lead is nonzero, so the zeros counted are all below it
+            if self.field is Fraction and (deg - nums.count(0)) * _SPARSE_MAX_FILL <= deg:
+                support = tuple(compress(range(deg), nums))
+                nums = tuple(map(nums.__getitem__, support))
             got = (factors, p.den, nums, support)
         self.products[deg] = got
         return got
