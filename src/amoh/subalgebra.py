@@ -73,14 +73,10 @@ class _Frozen:
 class SagbiElement(_Frozen):
     """One basis element: a monic polynomial, its recipe and its degree.
     The provenance (it evaluates to poly) and its powers are built on read.
-    Equality and hash read poly and degree only; the hash is taken once, as
-    recipe factors are memo keys."""
+    Equality and hash read poly and degree only."""
 
     def __init__(self, poly: Poly, recipe: tuple, degree: int):
-        self.__dict__.update(
-            poly=poly, recipe=recipe, degree=degree, _pows={}, _canon_pows={},
-            _hash=hash((poly, degree)),
-        )
+        self.__dict__.update(poly=poly, recipe=recipe, degree=degree, _pows={}, _canon_pows={})
 
     def __repr__(self):
         return f"SagbiElement(poly={self.poly!r}, degree={self.degree!r})"
@@ -91,7 +87,7 @@ class SagbiElement(_Frozen):
         return (self.poly, self.degree) == (other.poly, other.degree)
 
     def __hash__(self):
-        return self._hash
+        return hash((self.poly, self.degree))
 
     @cached_property
     def provenance(self) -> BivarExpr:
@@ -410,23 +406,16 @@ def _reachable(degrees, bound: int, start=b"\x01") -> bytearray:
 
 _MISSING = object()
 
-# A subduction step subtracts a memoized product entry by entry, in place,
-# when at most 1 / _SPARSE_MAX_FILL of the entries below its lead are
-# nonzero, and in one dense pass otherwise.  Entry by entry costs about half
-# the dense pass at half fill and gains little or loses above three
-# quarters (measured on CPython 3.11 over the products of the benchmark
-# workloads and random ones up to length 1000; see CHANGES.md).
-_SPARSE_MAX_FILL = 2
-
 
 class _Reducer:
     """Subduction engine over elements with pairwise distinct degrees.
 
     Keeps suffix reachability tables for the greedy factorization (largest
     degree first), memoizes element powers and, per degree, the monic
-    product that subduction subtracts; all grow on demand.  A sparse
-    product is memoized by its support alone, which a step subtracts
-    entry by entry, and a dense one by all its numerators.
+    product that subduction subtracts; all grow on demand.  A memo entry
+    holds a product's numerators below its lead with their indexes, its
+    support: all of them when that is the smaller form, else only the
+    nonzero ones.
     """
 
     def __init__(self, items, scalar_field, budget: _Budget | None = None):
@@ -437,6 +426,7 @@ class _Reducer:
         self.tables = None
         self.bound = -1
         self.poly_pows = {}
+        self.factorizations = {}
         self.products = {}
 
     def _ensure(self, bound: int):
@@ -474,47 +464,49 @@ class _Reducer:
                 deg -= c * d
         return counts
 
+    def product(self, deg: int):
+        """(monic product of element powers of degree deg, its recipe
+        factors), multiplied from the cached powers (a single factor's is
+        its cached power itself); None if deg is not representable.  The
+        factors tuple of a degree is built once."""
+        factors = self.factorizations.get(deg, _MISSING)
+        if factors is _MISSING:
+            counts = self.factor(deg)
+            if counts is not None:
+                factors = tuple((self.by_degree[d], c) for d, c in counts.items())
+            else:
+                factors = None
+            self.factorizations[deg] = factors
+        if factors is None:
+            return None
+        p = None
+        for el, c in factors:
+            pw = _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
+            p = pw if p is None else p * pw
+        return p, factors
+
     def _memo(self, deg: int):
-        """The memo entry of degree deg, built from factor(deg) once: None
-        if deg is not representable, else (factors, den, nums, support)
-        for the monic product of element powers of degree deg.  A dense
-        product keeps all its numerators over den (a single factor's are
-        its cached power's) and support None; a sparse one keeps only its
-        support, the indexes of its nonzero entries below the lead, and
-        their numerators."""
+        """The memo entry of degree deg, built from product(deg) once: None
+        if deg is not representable, else (factors, den, nums, support),
+        the product being nums[i] / den at index support[i] below the lead.
+        The support is range(deg) with the product's own numerators, unless
+        at most half the entries below the lead are nonzero: then only
+        those are kept, as two slots per entry then take no more room than
+        one per index."""
         got = self.products.get(deg, _MISSING)
         if got is not _MISSING:
             return got
-        counts = self.factor(deg)
-        got = None
-        if counts is not None:
-            factors = tuple((self.by_degree[d], c) for d, c in counts.items())
-            p = None
-            for el, c in factors:
-                pw = _cached_power(self.poly_pows.setdefault(el.degree, {}), el.poly, c)
-                p = pw if p is None else p * pw
-            nums, support = p.nums, None
+        got = self.product(deg)
+        if got is not None:
+            p, factors = got
+            nums, support = p.nums, range(deg)
             # the lead is nonzero, so the zeros counted are all below it
-            if self.field is Fraction and (deg - nums.count(0)) * _SPARSE_MAX_FILL <= deg:
-                support = tuple(compress(range(deg), nums))
+            if 2 * (deg - nums.count(0)) <= deg:
+                support = tuple(compress(support, nums))
                 nums = tuple(map(nums.__getitem__, support))
             got = (factors, p.den, nums, support)
         self.products[deg] = got
         return got
-
-    def product(self, deg: int):
-        """(monic product of element powers of degree deg, its recipe
-        factors), from the memo; None if deg is not representable."""
-        got = self._memo(deg)
-        if got is None:
-            return None
-        factors, den, nums, support = got
-        if support is not None:
-            dense = [0] * deg + [den]
-            for k, v in zip(support, nums):
-                dense[k] = v
-            nums = dense
-        return Poly._make(nums, den, self.field), factors
 
     def reduce(self, u: Poly):
         """Subduct u; returns (remainder, consumed) with consumed a recipe
@@ -523,9 +515,8 @@ class _Reducer:
 
         The remainder is one list of numerators over one denominator d, as
         Poly stores it, and it becomes a Poly, in lowest terms, only at the
-        end.  A dense step is one multiply-subtract pass over it, scaling
-        included; a sparse step scales it in one pass if it must, then
-        subtracts the product's support in place, entry by entry."""
+        end.  A step scales it in one pass if it must, then subtracts the
+        memoized product over its support in place, entry by entry."""
         field = self.field
         if u.field is not field:
             raise TypeError("polynomial is over a different field than the basis")
@@ -543,21 +534,15 @@ class _Reducer:
             # r - (top / d) * prod, with prod = pnums / dp monic (lead dp):
             # over d * s, with s = dp / gcd(top, dp), it is
             # s * nums - (top * s / dp) * pnums, and the tops cancel
-            rest = nums
             if dp != 1:
                 g = math.gcd(top, dp)
                 top //= g
                 s = dp // g
                 if s != 1:
                     d *= s
-                    rest = map(mul, nums, repeat(s))
-            if support is None:
-                nums = list(map(sub, rest, map(mul, pnums, repeat(top))))
-            else:
-                if rest is not nums:
-                    nums = list(rest)
-                for k, v in zip(support, pnums):
-                    nums[k] -= v * top
+                    nums = list(map(mul, nums, repeat(s)))
+            for k, v in zip(support, pnums):
+                nums[k] -= v * top
             while nums and not nums[-1]:
                 nums.pop()
         return Poly._make(nums, d, field), tuple(consumed)

@@ -425,7 +425,8 @@ class TestSubductionKernel:
         start = time.process_time()
         r, consumed = reducer.reduce(u)
         kernel_s = time.process_time() - start
-        # the reference reuses the products the kernel already built
+        # the reference reuses the factorizations and powers the kernel
+        # already built; it multiplies only products of two or more powers
         start = time.process_time()
         want_r, want_consumed = _reference_subduct(reducer, u)
         reference_s = time.process_time() - start
@@ -436,9 +437,10 @@ class TestSubductionKernel:
 
     def test_memo_entries_on_both_sides_of_the_sparsity_cutoff(self):
         # an entry keeps only its support, the nonzero entries below the
-        # lead, exactly when at most 1 / _SPARSE_MAX_FILL of them are
-        # nonzero; product() gives the same monic product either way
-        from amoh.subalgebra import _SPARSE_MAX_FILL, _Reducer
+        # lead, exactly when at most half of them are nonzero, and else all
+        # the product's numerators over range(deg); product() gives the
+        # same monic product either way
+        from amoh.subalgebra import _Reducer
 
         kinds = set()
         for f, g in ((Z**5, Z**7), (Z**12 + Z, Z**18 + Z**2),
@@ -447,6 +449,7 @@ class TestSubductionKernel:
             for deg in range(1, 80):
                 got = reducer.product(deg)
                 if got is None:
+                    assert reducer._memo(deg) is None
                     continue
                 prod, factors = got
                 want = const(1)
@@ -455,14 +458,14 @@ class TestSubductionKernel:
                 assert prod == want and prod.degree == deg and prod.lead == 1
                 low = prod.nums[:-1]
                 support = tuple(k for k, v in enumerate(low) if v)
-                sparse = len(support) * _SPARSE_MAX_FILL <= deg
+                sparse = 2 * len(support) <= deg
                 kinds.add(sparse)
                 entry = reducer._memo(deg)
-                assert entry[:2] == (factors, prod.den)
+                assert entry[0] is factors and entry[1] == prod.den
                 if sparse:
                     assert entry[2:] == (tuple(low[k] for k in support), support)
                 else:
-                    assert entry[2:] == (prod.nums, None)
+                    assert entry[2:] == (prod.nums, range(deg))
         assert kinds == {True, False}
 
     @pytest.mark.parametrize("f, g", [
@@ -498,7 +501,7 @@ class TestSubductionKernel:
                    for deg, lead in ((25, -1), (50, 7), (61, 2), (73, -5))]
         for u in queries:
             _, den, _, support = basis._reducer._memo(u.degree)
-            assert support is not None and den % 3 == 0 and u.lead.numerator % den
+            assert type(support) is tuple and den % 3 == 0 and u.lead.numerator % den
         self._check(f, g, queries)
 
 
