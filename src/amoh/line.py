@@ -15,7 +15,7 @@ import math
 import random
 from collections import namedtuple
 
-from .errors import InternalInconsistency
+from .errors import InternalInconsistency, PreconditionViolated
 from .field_poly import BivarExpr, Poly, eval_bivariate
 from .subalgebra import is_member, sagbi_basis
 
@@ -136,8 +136,11 @@ def random_line_curve(seed: int, steps: int, max_coeff: int = 5):
     swapping the generators, scaling one by a nonzero constant, and adding
     to one a polynomial in the other.  Every output satisfies
     k[f, g] = k[z] by construction; degrees stay at most 30 (substitution
-    degrees shrink when they would overshoot).  Deterministic in seed.
+    degrees shrink when they would overshoot).  Deterministic in seed;
+    max_coeff < 1 raises PreconditionViolated.
     """
+    if max_coeff < 1:
+        raise PreconditionViolated(f"max_coeff must be at least 1, got {max_coeff!r}")
     rng = random.Random(seed)
     z = Poly.variable()
     cur_f, cur_g = z, Poly.zero()

@@ -145,6 +145,64 @@ def _expand(recipe, field, implicit=None) -> BivarExpr:
     return BivarExpr._make(acc, den, field)
 
 
+def _products(f: Poly, g: Poly, bound: int):
+    """(i, j, integer numerators of F^i G^j) over Q by weight i * deg f +
+    j * deg g <= bound, then i; F and G are the numerators of f and g.  A
+    constant generator takes exponent 0 only."""
+    m = 0 if f.is_constant else f.degree
+    n = 0 if g.is_constant else g.degree
+    F, G = (Poly._make(p.nums, 1, Fraction) for p in (f, g))
+    fpows, gpows = {0: Poly.one()}, {0: Poly.one()}
+    for _, i, j in sorted(
+        (i * m + j * n, i, j)
+        for i in range(bound // m + 1 if m else int(bound >= 0))
+        for j in range((bound - i * m) // n + 1 if n else 1)
+    ):
+        yield i, j, (_cached_power(fpows, F, i) * _cached_power(gpows, G, j)).nums
+
+
+def _echelon_insert(ech, p, combo: dict):
+    """Reduce integer numerators p and their integer combination combo
+    fraction-free against the rows (lead index -> (p, combo)); a survivor
+    goes in primitive with a positive lead.  Returns the reduced pair.
+    Each row is a nonzero multiple of the monic row over Q."""
+    while p:
+        row = ech.get(len(p) - 1)
+        if row is None:
+            break
+        q, qcombo = row
+        gcd = math.gcd(p[-1], q[-1])
+        a, b = q[-1] // gcd, p[-1] // gcd
+        # a * p - b * q: the tops cancel
+        p = list(map(sub, map(mul, p, repeat(a)), map(mul, q, repeat(b))))
+        while p and not p[-1]:
+            p.pop()
+        combo = {k: a * v for k, v in combo.items()}
+        for k, v in qcombo.items():
+            s = combo.get(k, 0) - b * v
+            if s:
+                combo[k] = s
+            else:
+                combo.pop(k, None)
+    if p:
+        content = math.gcd(*p, *combo.values())
+        if p[-1] < 0:
+            content = -content
+        p = [x // content for x in p]
+        combo = {k: v // content for k, v in combo.items()}
+        ech[len(p) - 1] = (p, combo)
+    return p, combo
+
+
+def _echelon_span(f: Poly, g: Poly, bound: int) -> dict:
+    """Echelon rows spanning the _products up to bound, each inserted with
+    the combination {(i, j): 1}."""
+    ech = {}
+    for i, j, p in _products(f, g, bound):
+        _echelon_insert(ech, p, {(i, j): 1})
+    return ech
+
+
 class _Implicit:
     """Reduction modulo the implicit equation R(X, Y) of a pair (f, g) over
     Q, both nonconstant.
@@ -167,54 +225,20 @@ class _Implicit:
     def equation(self) -> BivarExpr:
         """R with coprime integer coefficients and c > 0.
 
-        The products f^i g^j go into an echelon form by increasing weight
-        i * deg f + j * deg g (then i), each with the combination that
-        rebuilds it.  Every relation is a multiple of R, so the first
-        product that the earlier ones span gives R; its weight is
-        deg f * deg g / deg h.  Rows are integer numerators of F^i G^j,
-        where F and G are the numerators of f and g, reduced fraction-free;
-        combinations are integer dicts."""
-        f, g, m = self.f, self.g, self.m
-        wf, wg = f.degree, g.degree
-        bound = m * wg
-        F, G = (Poly._make(p.nums, 1, Fraction) for p in (f, g))
-        fpows, gpows = {0: Poly.one()}, {0: Poly.one()}
+        The _products go into the echelon of _echelon_insert.  Every relation
+        is a multiple of R, so the first product that the earlier ones span
+        gives R; its weight is deg f * deg g / deg h."""
+        f, g = self.f, self.g
+        bound = self.m * g.degree
         ech = {}
-        for _, i, j in sorted(
-            (i * wf + j * wg, i, j)
-            for i in range(bound // wf + 1)
-            for j in range((bound - i * wf) // wg + 1)
-        ):
-            p = list((_cached_power(fpows, F, i) * _cached_power(gpows, G, j)).nums)
-            combo = {(i, j): 1}
-            while p:
-                row = ech.get(len(p) - 1)
-                if row is None:
-                    break
-                q, qcombo = row
-                gcd = math.gcd(p[-1], q[-1])
-                a, b = q[-1] // gcd, p[-1] // gcd
-                # a * p - b * q: the tops cancel
-                p = list(map(sub, map(mul, p, repeat(a)), map(mul, q, repeat(b))))
-                while p and not p[-1]:
-                    p.pop()
-                combo = {k: a * v for k, v in combo.items()}
-                for k, v in qcombo.items():
-                    s = combo.get(k, 0) - b * v
-                    if s:
-                        combo[k] = s
-                    else:
-                        combo.pop(k, None)
+        for i, j, p in _products(f, g, bound):
+            p, combo = _echelon_insert(ech, p, {(i, j): 1})
             if not p:
                 # sum(combo[i, j] * F^i * G^j) == 0, and F^i * G^j is
                 # f^i * g^j times the i-th and j-th powers of the denominators
                 return self._normalize(
                     {(i, j): v * f.den**i * g.den**j for (i, j), v in combo.items()}
                 )
-            content = math.gcd(*p, *combo.values())
-            if p[-1] < 0:
-                content = -content
-            ech[len(p) - 1] = ([x // content for x in p], {k: v // content for k, v in combo.items()})
         raise InternalInconsistency(f"no relation between f and g up to weight {bound}")
 
     def _normalize(self, nums: dict) -> BivarExpr:
@@ -375,7 +399,9 @@ class _Budget:
 
 def _resolve_cap(f: Poly, g: Poly, cap) -> int:
     if cap is not None:
-        return int(cap)
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+            raise PreconditionViolated(f"cap must be a positive integer, got {cap!r}")
+        return cap
     env = os.environ.get(CAP_ENV_VAR)
     if env:
         try:
@@ -630,9 +656,10 @@ def sagbi_basis(f: Poly, g: Poly, cap=None) -> SagbiBasis:
     degrees whose degrees generate the whole degree semigroup, each with a
     provenance expression rebuilding it from (f, g).
 
-    Deterministic; raises TrivialAlgebra when both generators are constant
-    and InternalLimitExceeded if the work cap (`cap` argument, else the
-    AMOH_ITER_CAP environment variable, else 10*(deg f + deg g)^2) is hit.
+    Deterministic; raises TrivialAlgebra when both generators are constant,
+    PreconditionViolated if the work cap (`cap` argument, else the
+    AMOH_ITER_CAP environment variable, else 10*(deg f + deg g)^2) is not a
+    positive integer and InternalLimitExceeded if it is hit.
     """
     return _sagbi_cached(f, g, _resolve_cap(f, g, cap))
 
@@ -662,55 +689,21 @@ def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResu
     return MembershipResult(True, certificate, None)
 
 
-def _echelon_insert(ech, p: Poly, combo: BivarExpr):
-    """Reduce (p, combo) against the echelon rows, keeping
-    eval(combo) == p; insert the survivor monically.  Returns the reduced
-    pair."""
-    while not p.is_zero:
-        row = ech.get(p.degree)
-        if row is None:
-            break
-        q, qcombo = row
-        c = p.lead
-        p = p - q.scale(c)
-        combo = combo - qcombo.scale(c)
-    if not p.is_zero:
-        inv = p.field(1) / p.lead
-        ech[p.degree] = (p.scale(inv), combo.scale(inv))
-    return p, combo
-
-
-def _echelon_span(f: Poly, g: Poly, bound: int):
-    """Echelon rows (lead degree -> (monic poly, combination)) spanning all
-    products f^i g^j of weight i*deg f + j*deg g <= bound.  Constant
-    generators contribute exponent zero only."""
-    field = f.field
-    m = 0 if f.is_constant else f.degree
-    n = 0 if g.is_constant else g.degree
-    pairs = sorted(
-        (i * m + j * n, i, j)
-        for i in range(bound // m + 1 if m else int(bound >= 0))
-        for j in range((bound - i * m) // n + 1 if n else 1)
-    )
-    ech = {}
-    fpows = {0: Poly.one(field)}
-    gpows = {0: Poly.one(field)}
-    one = field(1)
-    for _, i, j in pairs:
-        p = _cached_power(fpows, f, i) * _cached_power(gpows, g, j)
-        _echelon_insert(ech, p, BivarExpr.monomial(i, j, one))
-    return ech
-
-
 def brute_force_member(u: Poly, f: Poly, g: Poly, bound: int):
-    """Independent membership search by exact linear algebra over all
-    products f^i g^j of weight at most bound.  Returns a certificate or
-    None; absence within the bound proves nothing."""
-    # the remainder is r = u + eval(combo), so a zero r makes -combo the certificate
-    r, combo = _echelon_insert(_echelon_span(f, g, bound), u, BivarExpr.zero(f.field))
-    if not r.is_zero:
+    """Independent membership search over Q (TypeError otherwise): u's
+    numerators, under a key of their own, reduce against _echelon_span.
+    Returns a certificate or None; absence within the bound proves nothing."""
+    if not (u.field is f.field is g.field is Fraction):
+        raise TypeError("the brute-force oracle is over the rationals only")
+    r, combo = _echelon_insert(_echelon_span(f, g, bound), u.nums, {None: 1})
+    if r:
         return None
-    consumed = -combo
+    # c * u == -sum(combo[i, j] * (f.den * f)^i * (g.den * g)^j), c = combo[None] * u.den
+    c = combo.pop(None) * u.den
+    s = -1 if c > 0 else 1
+    consumed = BivarExpr._make(
+        {(i, j): s * v * f.den**i * g.den**j for (i, j), v in combo.items()}, abs(c), Fraction
+    )
     if consumed.eval(f, g) != u:
         raise InternalInconsistency("echelon certificate failed to re-evaluate")
     return consumed

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from amoh import (
     BivarExpr,
     Poly,
+    PreconditionViolated,
     criterion_check,
     eval_bivariate,
     is_line,
@@ -102,6 +103,13 @@ class TestGenerator:
     def test_zero_steps(self):
         f, g = random_line_curve(123, 0)
         assert f == Z and g.is_zero
+
+    @pytest.mark.parametrize("max_coeff", [0, -2])
+    def test_coefficient_bound_below_one_is_refused(self, max_coeff):
+        # with max_coeff = 0 every drawn coefficient is 0, and redrawing a
+        # zero lead coefficient never ends
+        with pytest.raises(PreconditionViolated, match="max_coeff"):
+            random_line_curve(9, 7, max_coeff)
 
     @settings(deadline=None, max_examples=25)
     @given(st.integers(0, 10**6))

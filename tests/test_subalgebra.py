@@ -5,7 +5,9 @@ over products f^i g^j bounds what the completed basis must realize, and
 semigroup representations are compared against exhaustive enumeration.
 """
 
+import hashlib
 import itertools
+import json
 import math
 import random
 import time
@@ -86,6 +88,11 @@ class TestSagbiBasis:
     def test_cap_is_enforced(self):
         with pytest.raises(InternalLimitExceeded):
             sagbi_basis(Z**6, Z**8 + Z**7, cap=3)
+
+    @pytest.mark.parametrize("cap", [0, -3, "x", 2.5, True])
+    def test_cap_must_be_a_positive_integer(self, cap):
+        with pytest.raises(PreconditionViolated, match="cap must be a positive integer"):
+            sagbi_basis(Z**6, Z**8 + Z**7, cap=cap)
 
     def test_generator_degrees_always_representable(self):
         rng = random.Random(7)
@@ -605,6 +612,41 @@ class TestExpand:
         assert got.is_zero and got.field is Fraction
 
 
+BRUTE_FORCE_PINNED = "3aaf282d407166e7bc09977afeb1aac7b9b856fb52757edcb566a2edb540308b"
+
+
+def _brute_force_digest():
+    """sha256 over the sorted certificate terms (or None) that
+    brute_force_member gives on rational generators, a constant
+    generator and an unfaithful pair, at bounds from half to twice the
+    weight of R (for the constant generator, 2 * deg g)."""
+    X, Y = BivarExpr.X(), BivarExpr.Y()
+    curves = [
+        (Z**3, Z**6 + Z**2, 18),
+        (*_rational_pair(), 6),
+        ((Z**3).scale(Fraction(1, 2)) - Z, Z**2 + const(3), 6),
+        (Z**4 + Z**2, Z**6, 12),
+        (const(2), Z**3 + Z, 6),
+        (Z**2 - const(2), Z**4 - (Z**2).scale(5) + Z + const(5), 8),
+    ]
+    exprs = [
+        BivarExpr.const(Fraction(3)),
+        X * Y - X.scale(Fraction(2, 3)),
+        (X**2 * Y).scale(Fraction(-5, 4)) + Y**2 - BivarExpr.const(Fraction(1)),
+        X**3 + Y**3 + (X * Y).scale(7),
+    ]
+    out = []
+    for f, g, weight in curves:
+        queries = [eval_bivariate(e, f, g) for e in exprs]
+        queries += [Z, Z**5 + Z, queries[1] + Z**2]
+        for u in queries:
+            for bound in (weight // 2, weight - 1, weight, weight + 6, 2 * weight):
+                cert = brute_force_member(u, f, g, bound)
+                out.append(None if cert is None
+                           else [[i, j, str(c)] for i, j, c in cert.sorted_terms()])
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
 class TestBruteForceOracle:
     def test_agrees_on_members_and_non_members(self, example_curve):
         f, g = example_curve
@@ -624,6 +666,18 @@ class TestBruteForceOracle:
         # an insufficient bound may miss a member but must never invent one
         f, g = example_curve
         assert brute_force_member(Z, f, g, 30) is None
+
+    def test_pinned_certificates(self):
+        # every certificate, or None, of fixed members and non-members at
+        # bounds below and above the weight of the implicit equation
+        assert _brute_force_digest() == BRUTE_FORCE_PINNED
+
+    def test_over_q_only(self):
+        from amoh import RatFunc
+
+        y = Poly.variable(RatFunc)
+        with pytest.raises(TypeError, match="rationals only"):
+            brute_force_member(y**6, y**2, y**3, 12)
 
 
 # (f, g, m = deg f / deg h): faithful pairs with monic, rational and
@@ -791,12 +845,11 @@ class TestCanonicalCertificates:
                        for k, c in enumerate(p.coeffs))
 
         for f, g, m in _CANONICAL_CURVES:
-            if m != f.degree:
-                continue  # unfaithful: the resultant is a power of R
             res = sympy.Poly(sympy.resultant(to_sympy(f) - X, to_sympy(g) - Y, z), X, Y)
             want = {k: Fraction(int(c.p), int(c.q)) for k, c in res.terms()}
-            got = sagbi_basis(f, g)._implicit.equation.nums
-            scalar = want[0, m] / got[0, m]
+            # the resultant is R^(deg f / m), a power of R when unfaithful
+            got = (sagbi_basis(f, g)._implicit.equation ** (f.degree // m)).nums
+            scalar = want[0, f.degree] / got[0, f.degree]
             assert want == {k: scalar * c for k, c in got.items()}
 
 
