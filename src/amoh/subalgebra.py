@@ -3,7 +3,8 @@
 Basis completion here is a one-variable SAGBI computation.  Leading degrees
 of elements of k[f, g] form an additive semigroup; a basis is complete when
 that semigroup equals the one generated by the basis element degrees.
-Completion interleaves two moves until a fixpoint:
+Completion interleaves two moves until a fixpoint, or until the gcd of
+the element degrees is deg h (see _complete):
 
 * interreduction: an element whose degree is a sum of the other element
   degrees is subducted against them and replaced by its remainder, or
@@ -32,9 +33,11 @@ from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import mul, sub
 
+from .decompose import _right_factor_pair, left_cofactor
 from .errors import (
     InternalInconsistency,
     InternalLimitExceeded,
+    NotComposable,
     NotInSemigroup,
     PreconditionViolated,
     TrivialAlgebra,
@@ -609,7 +612,40 @@ def _interreduce(work, scalar_field, budget: _Budget):
             return
 
 
+def _gcd_is_deg_h(f: Poly, g: Poly, work) -> bool:
+    """Whether the gcd d of the work degrees is deg h: d = 1, or d > 1 over Q,
+    a relation pending, and f, g polynomials in f's inner factor of degree d."""
+    d = math.gcd(*(el.degree for el in work))
+    if d == 1 or len(work) < 2 or f.field is not Fraction:
+        return d == 1
+    pair = _right_factor_pair(f, d)
+    try:
+        return pair is not None and left_cofactor(g, pair[0]) is not None
+    except NotComposable:
+        return False
+
+
 def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
+    """Complete a basis of k[f, g], stopping once the gcd of the element
+    degrees is deg h, when the relations left add nothing.  Sketch: for
+    f = F(h), g = G(h) each step maps polynomials in the monic h to ones in
+    h and scales degrees by deg h, so this is completion of the faithful
+    (F, G) composed with h.  For faithful (f, g) the degrees are the values
+    at the one place at infinity of R(X, Y) = 0.  In characteristic 0
+    Abhyankar and Moh's semigroup theorem (J. reine angew. Math. 260/261,
+    1973) says they are generated by delta_0 = N = deg_Y R, ..., delta_h,
+    the degrees of G_k(f, g), G_k the d_k-th approximate root of R, of
+    Y-degree N / d_k; d_k = gcd(delta_0, ..., delta_(k-1)) and d_k * delta_k
+    fall strictly, to d_(h+1) = 1.  Its lemma: below Y-degree N / d_(k+1) a
+    polynomial expands in X, G_1, ..., G_k with terms of distinct degrees in
+    <delta_0, ..., delta_k>.  By induction the adjoined degrees are the
+    delta_k: a product of elements of degrees delta_0, ..., delta_k and total
+    degree D has Y-degree at most D * N / (d_k * delta_k), so the relation
+    of the last element, as subduction leaves it, is G_(k+1) plus terms of
+    Y-degree below N / d_(k+1), and by the lemma its degree, outside
+    <delta_0, ..., delta_k>, is delta_(k+1).  At gcd 1 every delta_k is in;
+    the last relation left is R itself.  Over k(x) d = 1 stops too; d > 1
+    completes in full there, as the inner-factor test divides over Q only."""
     scalar_field = f.field
     if g.field is not scalar_field:
         raise TypeError("generators must share one coefficient field")
@@ -625,6 +661,8 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
 
     while True:
         _interreduce(work, scalar_field, budget)
+        if _gcd_is_deg_h(f, g, work):
+            break
         full = _Reducer(work, scalar_field, budget)
         running = work[0].degree
         for j in range(1, len(work)):
@@ -654,7 +692,8 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
 def sagbi_basis(f: Poly, g: Poly, cap=None) -> SagbiBasis:
     """Complete basis of k[f, g]: monic elements of pairwise distinct
     degrees whose degrees generate the whole degree semigroup, each with a
-    provenance expression rebuilding it from (f, g).
+    provenance expression rebuilding it from (f, g).  Completion stops
+    once the gcd of those degrees is deg h, with no relation left to check.
 
     Deterministic; raises TrivialAlgebra when both generators are constant,
     PreconditionViolated if the work cap (`cap` argument, else the

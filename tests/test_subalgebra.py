@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -24,16 +25,23 @@ from amoh import (
     NotInSemigroup,
     Poly,
     PreconditionViolated,
+    RatFunc,
     TrivialAlgebra,
     brute_force_member,
+    common_parameter,
     delta_sequence,
     eval_bivariate,
+    is_line,
     is_member,
+    random_line_curve,
+    random_tame_automorphism,
     sagbi_basis,
     semigroup_represent,
+    subalgebra,
     subduct,
 )
-from amoh.subalgebra import _reachable, _sagbi_cached
+from amoh.line import DIVISIBILITY_FAILURE
+from amoh.subalgebra import CAP_ENV_VAR, _reachable, _sagbi_cached
 
 from conftest import Z, const
 
@@ -86,8 +94,9 @@ class TestSagbiBasis:
         assert sagbi_basis(f, g).elements == sagbi_basis(f, g).elements
 
     def test_cap_is_enforced(self):
+        # two gcd drops (4, 2, 1): completion spends 7 ticks before it stops
         with pytest.raises(InternalLimitExceeded):
-            sagbi_basis(Z**6, Z**8 + Z**7, cap=3)
+            sagbi_basis(Z**8, Z**12 + Z**2 + Z, cap=3)
 
     @pytest.mark.parametrize("cap", [0, -3, "x", 2.5, True])
     def test_cap_must_be_a_positive_integer(self, cap):
@@ -108,6 +117,145 @@ class TestSagbiBasis:
         want = sagbi_basis(f, g).degrees
         assert sagbi_basis(f + const(4), g - const(2)).degrees == want
         assert sagbi_basis(f.scale(3), g.scale(Fraction(-1, 2))).degrees == want
+
+
+def _full_completion(f, g, cap=10**9):
+    """Completion with the stop at gcd deg h switched off: relations are
+    resolved until a round adds nothing.  The oracle for the stopped one."""
+    with mock.patch.object(subalgebra, "_gcd_is_deg_h", lambda f, g, work: False):
+        return subalgebra._complete(f, g, cap)
+
+
+def _assert_stops_at_the_full_basis(f, g):
+    stopped = subalgebra._complete(f, g, 10**9)
+    full = _full_completion(f, g)
+    assert stopped.elements == full.elements
+    for a, b in zip(stopped.elements, full.elements):
+        assert a.provenance == b.provenance
+
+
+def _composed_pairs():
+    """(F(h), G(h)) for small lines and obstruction pairs (F, G) and inner
+    factors h of degree 2 and 3, and near misses that add z or z^2 to one
+    side."""
+    lines = [random_line_curve(700 + s, 3 + s % 3, 2) for s in range(16)]
+    outer = [(F, G) for F, G in lines if not F.is_constant and not G.is_constant]
+    outer += [(Z**2, Z**3), (Z**3 + Z, Z**2), (Z**4 + Z, Z**6 + Z**3 + const(2))]
+    inners = [Z**2, Z**2 + Z.scale(3), Z**3 - Z, Z**3 + (Z**2).scale(Fraction(1, 2))]
+    for k, (F, G) in enumerate(outer):
+        h = inners[k % len(inners)]
+        f, g = F.compose(h), G.compose(h)
+        if max(f.degree, g.degree) > 40:
+            continue
+        yield f, g
+        yield f, g + Z
+        yield f + Z**2, g
+    for k in range(2, 12):
+        yield (Z**2 + const(1)) ** k, (Z**2 + const(1)) ** (k - 1) * Z**2
+
+
+class TestStoppedCompletion:
+    """Completion stops once the gcd of the basis degrees is deg h, with
+    the same elements and provenances as full completion."""
+
+    def test_pinned_curve_set(self):
+        from test_pinned_outputs import _curves
+
+        for f, g in _curves():
+            _assert_stops_at_the_full_basis(f, g)
+
+    def test_random_lines(self):
+        for s in range(60):
+            _assert_stops_at_the_full_basis(*random_line_curve(900 + s, 3 + s % 6, 5))
+
+    def test_composed_pairs_and_near_misses(self):
+        pairs = list(_composed_pairs())
+        assert len(pairs) > 40
+        for f, g in pairs:
+            _assert_stops_at_the_full_basis(f, g)
+
+    def test_binomial_family(self):
+        # (z^m + z^a, z^n + z^b): one, two or three gcd drops, and unfaithful
+        # pairs when m, n, a, b share a factor
+        for m, n in itertools.combinations(range(2, 13), 2):
+            for a, b in ((1, 2), (1, 1), (m // 2, n - 1), (2, 4)):
+                if a < m and b < n:
+                    _assert_stops_at_the_full_basis(Z**m + Z**a, Z**n + Z**b)
+
+    def test_ratfunc_bases_of_the_jacobian_probe(self):
+        for seed in range(24):
+            f, g = random_tame_automorphism(seed, 2 + seed % 4)
+            if not (f.is_constant and g.is_constant):
+                _assert_stops_at_the_full_basis(f, g)
+        # over k(x) a gcd above 1 completes in full: no inner-factor test
+        x, y = RatFunc.x(), Poly.variable(RatFunc)
+        h = y**2 + y.scale(x)
+        _assert_stops_at_the_full_basis((h**2).scale(x + 1), h**3 + h)
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.fractions(max_denominator=9).filter(bool), min_size=2, max_size=9),
+        st.lists(st.fractions(max_denominator=9).filter(bool), min_size=2, max_size=13),
+        st.sampled_from([None, Z**2, Z**2 - Z, Z**3 + Z]),
+    )
+    def test_random_pairs(self, fc, gc, inner):
+        f, g = Poly(fc), Poly(gc)
+        if inner is not None:
+            f, g = f.compose(inner), g.compose(inner)
+        _assert_stops_at_the_full_basis(f, g)
+
+    @pytest.mark.parametrize(
+        "f, g, degrees, cap",
+        [
+            (Z**200 + Z, Z**300 + Z**2, (200, 300, 401), 3),
+            ((Z**2 + const(1)) ** 100, (Z**2 + const(1)) ** 99 * Z**2, (198, 200), 2),
+        ],
+    )
+    def test_probes_complete_within_a_small_cap(self, f, g, degrees, cap):
+        # full completion has one more relation to check, of degree 40100
+        # (19800): it blows the cap at that relation's tick
+        with pytest.raises(InternalLimitExceeded, match="during relation"):
+            _full_completion(f, g, cap)
+        assert sagbi_basis(f, g, cap=cap).degrees == degrees
+
+    def test_high_degree_divisibility_failure(self, monkeypatch):
+        f, g = Z**2000 + Z, Z**3000 + Z**2
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
+        _sagbi_cached.cache_clear()
+        with mock.patch.object(subalgebra, "_gcd_is_deg_h", lambda f, g, work: False):
+            with pytest.raises(InternalLimitExceeded, match="during relation"):
+                is_line(f, g)
+        assert is_line(f, g).reason.kind == DIVISIBILITY_FAILURE
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [
+            (Z**200 + Z, Z**300 + Z**2),
+            (Z**8, Z**12 + Z**2 + Z),
+            (Z**6, Z**8 + Z**7),
+            ((Z**2 + const(1)) ** 20, (Z**2 + const(1)) ** 19 * Z**2),
+            (Z**4 + Z**2, Z**6),
+            ((Z**3 + Z) ** 4, (Z**3 + Z) ** 6 + Z**3 + Z),
+        ],
+    )
+    def test_no_relation_tick_once_the_gcd_is_deg_h(self, f, g):
+        deg_h = common_parameter(f, g).h.degree
+        log = []
+        tick, interreduce = subalgebra._Budget.tick, subalgebra._interreduce
+
+        def logged_tick(budget, what):
+            log.append(what)
+            tick(budget, what)
+
+        def logged_interreduce(work, field, budget):
+            interreduce(work, field, budget)
+            log.append(math.gcd(*(el.degree for el in work)))
+
+        with mock.patch.object(subalgebra._Budget, "tick", logged_tick), \
+                mock.patch.object(subalgebra, "_interreduce", logged_interreduce):
+            subalgebra._complete(f, g, 10**9)
+        assert log[-1] == deg_h
+        assert "relation" not in log[log.index(deg_h):]
 
 
 class TestEchelonOracle:
