@@ -389,24 +389,30 @@ def _pack(nums, width: int) -> int:
     return (int.from_bytes(raw, "little") ^ tops) - tops
 
 
-def _kronecker_mul(a, b):
-    """Integer coefficient product by Kronecker substitution: evaluate both
-    at 2**(8*width), multiply once, and read the product's coefficients
-    back from its width-byte slots (the steps of _pack, reversed).  Every
-    product coefficient is below 2**(8*width-1) in absolute value, so each
-    fits its slot."""
-    n = len(a) + len(b) - 1
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
-    pa = _pack(a, width)
-    c = pa * pa if a is b else pa * _pack(b, width)
+def _unpack(value: int, n: int, width: int) -> list:
+    """The n coefficients that _pack put into value, low degree first;
+    each must lie below 2**(8*width-1) in absolute value.  Adding the
+    offsets back and flipping every slot's top bit undoes _pack's two
+    steps, and each slot's bytes read back in two's complement."""
     tops = _slot_tops(n, width)
-    raw = ((c + tops) ^ tops).to_bytes(n * width, "little")
+    raw = ((value + tops) ^ tops).to_bytes(n * width, "little")
     frombytes = int.from_bytes
     return [
         frombytes(raw[k:k + width], "little", signed=True)
         for k in range(0, n * width, width)
     ]
+
+
+def _kronecker_mul(a, b):
+    """Integer coefficient product by Kronecker substitution: evaluate both
+    at 2**(8*width), multiply once, and read the product's coefficients
+    back (_unpack).  Every product coefficient is below 2**(8*width-1) in
+    absolute value, so each fits its slot."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    pa = _pack(a, width)
+    c = pa * pa if a is b else pa * _pack(b, width)
+    return _unpack(c, len(a) + len(b) - 1, width)
 
 
 def _power(base, n: int):
@@ -650,7 +656,12 @@ class BivarExpr:
     __slots__ = ("nums", "den", "field", "_hash")
 
     def __init__(self, terms=None):
-        items = [((int(i), int(j)), c) for (i, j), c in dict(terms or {}).items()]
+        items = list(dict(terms or {}).items())
+        for (i, j), _ in items:
+            if type(i) is not int or type(j) is not int or i < 0 or j < 0:
+                raise ValueError(
+                    f"certificate exponents must be nonnegative integers, got {(i, j)!r}"
+                )
         if any(isinstance(c, RatFunc) for _, c in items):
             field, den = RatFunc, 1
             items = [(k, c if isinstance(c, RatFunc) else RatFunc(c)) for k, c in items]
@@ -787,15 +798,25 @@ class BivarExpr:
         below m.  Each of its exponents has a row, the sum of c_ij times
         powers of the other generator.  Those powers are streamed in
         increasing order, each one product from the one before, and each
-        is added into the row accumulators of its terms as it comes, so
-        only the current power is held.  Horner then does one product per
-        row.  Over Q a power of a generator in lowest terms is in lowest
-        terms too, so the e-th has denominator den**e and every row sits
-        over den**(top exponent).
+        is added into the row of its terms as it comes, so only the
+        current power is held.  Horner then does one product per row.
+
+        Over Q this runs on Python integers, by Kronecker substitution.
+        With f = F/df and g = G/dg (integer numerators F, G) and a, b the
+        top exponents of X and Y, the value is N / (den * df**a * dg**b),
+        where N = sum c_ij * F**i * df**(a-i) * G**j * dg**(b-j).  F and
+        G are packed once at z = 2**(8*width) (_pack), the terms run as
+        above on the packed integers, and N's a*deg f + b*deg g + 1
+        coefficients are read back once (_unpack).  Every coefficient of
+        N is at most sum |c_ij| * |F|**i * df**(a-i) * |G|**j * dg**(b-j)
+        in absolute value, where |F|, the sum of the absolute values of
+        F's coefficients, bounds every coefficient of F**i.  Before any
+        product, width is chosen from bit lengths alone so that
+        2**(8*width-1) exceeds that bound and |F| and |G|: every slot
+        then holds its coefficient, and the result is exact.
         """
         self._check_field(f)
         self._check_field(g)
-        field = self.field
         keys = self.nums.keys()
         if len({i for i, _ in keys}) < len({j for _, j in keys}):
             outer, inner = f, g
@@ -804,44 +825,26 @@ class BivarExpr:
             outer, inner = g, f
             terms = sorted((i, j, c) for (i, j), c in self.nums.items())
         if not terms:
-            return Poly.zero(field)
-        lcm = inner.den ** terms[-1][0]
-        zero = 0 if field is Fraction else field(0)
-        add, mul = operator.add, operator.mul
-        rows = {}
-        steps = {}
-        power, at = Poly.one(field), 0
-        pnums, n, scale, mono = power.nums, 1, lcm, True
-        for e, r, c in terms:
-            if e != at:
-                power = power * _cached_power(steps, inner, e - at)
-                if not power:
-                    break  # a zero generator: this term and all later ones vanish
-                at = e
-                pnums, n, scale = power.nums, len(power.nums), lcm // power.den
-                mono = field is Fraction and pnums.count(0) == n - 1
-            k = c * scale
-            acc = rows.get(r)
-            if acc is None:
-                rows[r] = list(map(mul, pnums, repeat(k)))
-                continue
-            acc.extend(repeat(zero, n - len(acc)))
-            if mono:
-                acc[-1] += pnums[-1] * k
-            else:
-                rows[r] = list(map(add, acc, map(mul, pnums, repeat(k))))
-        # Horner over the rows, top exponent first
-        den = self.den * lcm
-        outer_pows = {}
-        total, prev = Poly.zero(field), None
-        for r in sorted(rows, reverse=True):
-            if prev is not None:
-                total = total * _cached_power(outer_pows, outer, prev - r)
-            total = total + Poly._make(rows[r], den, field)
-            prev = r
-        if prev:
-            total = total * _cached_power(outer_pows, outer, prev)
-        return total
+            return Poly.zero(self.field)
+        if self.field is not Fraction:
+            return _short_axis(terms, inner, outer, Poly.one(RatFunc))
+        a_in, a_out = terms[-1][0], max(r for _, r, _ in terms)
+        d_in, d_out = inner.den, outer.den
+        l_in, l_out = _clog2(sum(map(abs, inner.nums))), _clog2(sum(map(abs, outer.nums)))
+        ld_in, ld_out = _clog2(d_in), _clog2(d_out)
+        top = max(
+            _clog2(abs(c)) + e * (l_in - ld_in) + r * (l_out - ld_out) for e, r, c in terms
+        )
+        # every coefficient of N, and of F and G, is at most 2**bits,
+        # which is below 2**(8*width-1)
+        bits = max(top + a_in * ld_in + a_out * ld_out + _clog2(len(terms)), l_in, l_out)
+        width = (bits + 1) // 8 + 1
+        if d_in != 1 or d_out != 1:
+            terms = [(e, r, c * d_in ** (a_in - e) * d_out ** (a_out - r)) for e, r, c in terms]
+        value = _short_axis(terms, _pack(inner.nums, width), _pack(outer.nums, width), 1)
+        n = a_in * max(len(inner.nums) - 1, 0) + a_out * max(len(outer.nums) - 1, 0) + 1
+        den = self.den * d_in**a_in * d_out**a_out
+        return Poly._make(_unpack(value, n, width), den, Fraction)
 
     def sorted_terms(self):
         """Terms as a list of (i, j, coeff), ordered lexicographically."""
@@ -869,6 +872,34 @@ class BivarExpr:
 
     def __repr__(self):
         return f"BivarExpr({self.terms!r})"
+
+
+def _clog2(x: int) -> int:
+    """ceil(log2(x)) for x >= 1, and 1 at x = 0: x <= 2**_clog2(x)."""
+    return (x - 1).bit_length()
+
+
+def _short_axis(terms, inner, outer, one):
+    """sum(c * inner**e * outer**r for e, r, c in terms), with terms
+    sorted by e, over Python integers or Polys (one is the ring's unit).
+    The powers of inner are streamed in increasing order, each one
+    product from the one before, into one row per r; Horner over outer
+    then does one product per row."""
+    rows, steps, outer_pows = {}, {}, {}
+    power, at = one, 0
+    for e, r, c in terms:
+        if e != at:
+            power = power * _cached_power(steps, inner, e - at)
+            at = e
+        t = power * c
+        rows[r] = rows[r] + t if r in rows else t
+    order = sorted(rows, reverse=True)
+    total = rows[order[0]]
+    for hi, r in zip(order, order[1:]):
+        total = total * _cached_power(outer_pows, outer, hi - r) + rows[r]
+    if order[-1]:
+        total = total * _cached_power(outer_pows, outer, order[-1])
+    return total
 
 
 def _combine(terms, den, field) -> Poly:

@@ -16,6 +16,8 @@ from amoh import (
     RatFunc,
     eval_bivariate,
     parse_poly,
+    random_line_curve,
+    reduce_to_line,
 )
 from amoh.field_poly import _KRONECKER_MIN_TERMS, _kronecker_mul, _schoolbook_mul
 
@@ -403,6 +405,15 @@ class TestBivarExpr:
         e = BivarExpr.X() + BivarExpr.Y()
         assert e**3 == e * e * e
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, -2), (True, 0), (0, False), (1.5, 0), (0, 2.0), ("1", 0)])
+    def test_bad_exponents_are_refused(self, key):
+        # a negative exponent would send eval's power cache counting down
+        # forever, and int() would truncate 1.5 to 1
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            BivarExpr({key: 1})
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            BivarExpr({(3, 3): 1, key: Fraction(1, 2)})
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.lists(
@@ -684,22 +695,41 @@ class TestShortAxisEval:
     def test_matches_term_by_term_substitution(self, terms, f, g):
         assert BivarExpr(terms).eval(f, g) == _bref_eval(terms, f, g)
 
-    def test_one_product_per_streamed_exponent_and_per_row(self, monkeypatch):
-        # 13 X exponents and 2 Y exponents: Horner over Y
-        terms = _eval_shapes()[0]
-        f, g = Z**2 + Z + const(1), Z**3 - const(2)
+    @staticmethod
+    def _count_products(monkeypatch, e, f, g):
+        # products of two Polys over e's field; RatFunc arithmetic makes
+        # its own, and a Poly times a scalar is no product of polynomials
         calls = []
         original = Poly.__mul__
 
         def counting(self, other):
-            calls.append(1)
+            if self.field is e.field and isinstance(other, Poly):
+                calls.append(1)
             return original(self, other)
 
         monkeypatch.setattr(Poly, "__mul__", counting)
-        got = BivarExpr(terms).eval(f, g)
+        got = e.eval(f, g)
         monkeypatch.undo()
+        return got, len(calls)
+
+    def test_no_poly_product_over_q(self, monkeypatch):
+        # over Q the streamed powers and the Horner steps are products of
+        # packed integers
+        terms = _eval_shapes()[0]
+        f, g = Z**2 + Z + const(1), Z**3 - const(2)
+        got, products = self._count_products(monkeypatch, BivarExpr(terms), f, g)
         assert got == _bref_eval(terms, f, g)
-        assert len(calls) == 12 + 1
+        assert products == 0
+
+    def test_one_product_per_streamed_exponent_and_per_row(self, monkeypatch):
+        # over RatFunc, 13 X exponents and 2 Y exponents: Horner over Y
+        x = RatFunc.x()
+        y = Poly.variable(RatFunc)
+        terms = {k: c + x for k, c in _eval_shapes()[0].items()}
+        f, g = y**2 + y + Poly.constant(x), y**3 - Poly.constant(RatFunc(2))
+        got, products = self._count_products(monkeypatch, BivarExpr(terms), f, g)
+        assert got == _bref_eval(terms, f, g)
+        assert products == 12 + 1
 
     def test_holds_one_power_of_the_long_axis(self):
         # 151 X exponents: holding every power of f would take about 1.2 MB
@@ -716,6 +746,74 @@ class TestShortAxisEval:
             tracemalloc.stop()
         assert got == want
         assert peak < 500_000
+
+
+_WIDE_NUM = st.one_of(
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([s * (2**k + d) for s in (1, -1) for k in (7, 8, 63, 64, 199) for d in (-1, 0)]),
+)
+_WIDE = st.builds(Fraction, _WIDE_NUM, st.one_of(st.just(1), st.integers(1, 2**64)))
+_WIDE_POLY = st.one_of(
+    st.just(Poly.zero()),
+    _WIDE.map(lambda c: Poly([c])),
+    st.lists(_WIDE, min_size=2, max_size=5).map(Poly),
+)
+_WIDE_KEYS = st.tuples(st.integers(0, 4), st.integers(0, 4))
+_WIDE_TERMS = st.one_of(
+    st.dictionaries(_WIDE_KEYS, _WIDE.filter(bool), min_size=1, max_size=1),
+    st.dictionaries(_WIDE_KEYS, _WIDE.filter(bool), max_size=8),
+)
+
+
+class TestKroneckerWidth:
+    """Over Q, eval packs f and g at 2**(8*width), with width chosen from
+    bit lengths before any product; at its edges the result is still the
+    term-by-term sum."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_WIDE_TERMS, _WIDE_POLY, _WIDE_POLY)
+    def test_wide_coefficients(self, terms, f, g):
+        assert BivarExpr(terms).eval(f, g) == _bref_eval(terms, f, g)
+
+    def test_all_positive_sum_at_the_bound(self):
+        # (X + Y)^k expanded at f = g = 1 + z: every product is positive,
+        # so N's coefficients sum to the bound 4^k itself
+        f = g = Z + const(1)
+        for k in range(1, 41):
+            terms = {(i, k - i): Fraction(math.comb(k, i)) for i in range(k + 1)}
+            got = BivarExpr(terms).eval(f, g)
+            assert got == _bref_eval(terms, f, g) == (Z + const(1)) ** k * const(2**k)
+
+    @pytest.mark.parametrize("s", [1, 3, 7, 8, 13])
+    def test_coefficient_equal_to_the_bound(self, s):
+        # f = g = 2^s z and 2^p terms 2^t X^i Y^(k-i): N = 2^(t + s*k + p) z^k
+        # is the bound itself, a power of two, at every byte alignment
+        f = g = Z.scale(2**s)
+        fd, gd = Z.scale(Fraction(2**s, 3)), Z.scale(Fraction(1, 2**s))
+        for p in range(4):
+            k = 2**p - 1
+            for t in range(17):
+                for sign in (1, -1):
+                    terms = {(i, k - i): Fraction(sign * 2**t) for i in range(k + 1)}
+                    want = Z**k * const(sign * 2 ** (t + s * k + p))
+                    assert BivarExpr(terms).eval(f, g) == want
+                    # and over denominators
+                    assert BivarExpr(terms).eval(fd, gd) == _bref_eval(terms, fd, gd)
+
+    def test_generators_wider_than_the_result(self):
+        # a constant expression: the bound on N is tiny, yet f and g must fit
+        big = Z.scale(2**300 - 1) + const(-(2**255))
+        for terms in ({(0, 0): Fraction(3)}, {(0, 0): Fraction(1, 7), (0, 1): Fraction(1)}):
+            assert BivarExpr(terms).eval(big, big) == _bref_eval(terms, big, big)
+
+    def test_line_inverses_evaluate_to_z(self):
+        for seed in range(40):
+            f, g = random_line_curve(1300 + seed, 3 + seed % 6, 2 + 60 * (seed % 3))
+            verdict = reduce_to_line(f, g)
+            assert verdict.is_line
+            assert verdict.inverse.eval(f, g) == Z
+            if seed % 4 == 0:
+                assert _bref_eval(verdict.inverse.terms, f, g) == Z
 
 
 def test_every_exported_name_resolves():
