@@ -56,8 +56,8 @@ def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
     """Replay the elimination steps on (X, Y) to get work[k] = p as an
     expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1."""
     exprs = [BivarExpr.X(), BivarExpr.Y()]
-    for hi, power, inv, lead in steps:
-        exprs[hi] = exprs[hi] - (exprs[1 - hi].scale(inv) ** power).scale(lead)
+    for hi, power, c in steps:
+        exprs[hi] = exprs[hi] - (exprs[1 - hi] ** power).scale(c)
     c0, c1 = p.coeff(0), p.coeff(1)
     inverse = (exprs[k] - BivarExpr.const(c0)).scale(p.field(1) / c1)
     if eval_bivariate(inverse, f, g) != Poly.variable(f.field):
@@ -101,10 +101,10 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
                 False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
             )
         power = top.degree // low.degree
-        inv = field(1) / low.lead
-        lead = top.lead
-        work[hi] = top - (low.scale(inv) ** power).scale(lead)
-        steps.append((hi, power, inv, lead))
+        # one scale per step: the lead of low**power, times c, is top's
+        c = top.lead * (field(1) / low.lead) ** power
+        work[hi] = top - (low**power).scale(c)
+        steps.append((hi, power, c))
 
 
 def is_line(f: Poly, g: Poly) -> LineVerdict:

@@ -16,9 +16,15 @@ the element degrees is deg h (see _complete):
   matching difference of monic products drops in degree, and a
   nonconstant irreducible remainder is a new element.
 
-Degree questions reduce to coin-problem dynamic programming.  Completion
-and subduction compute polynomials only and record each step as a recipe;
-`_expand` builds the expression in (f, g) only when one is read.
+Degree questions reduce to coin-problem dynamic programming.  Subduction
+computes polynomials only and records each step as plain integers: the
+degree, the lead numerator it cancelled and the remainder's denominator
+then.  Completion turns the records into a basis element's recipe, and
+`_expand` builds the provenance from it only when one is read.  A
+certificate is assembled after the loop in one pass over one common
+denominator, each step's term a multiple of the canonical product of its
+degree, memoized once per degree beside the monic product that
+subduction subtracts (`_Reducer.certificate`).
 
 All public functions are pure; completed bases are cached per (f, g, cap).
 """
@@ -97,37 +103,42 @@ class SagbiElement(_Frozen):
         return _expand(self.recipe, self.poly.field)
 
 
-def _expand(recipe, field, implicit=None) -> BivarExpr:
-    """Sum over the (coeff, ((source, exponent), ...)) terms of a recipe of
-    coeff times the product of the sources' provenances to their exponents,
-    as an expression over field.  A source is an earlier element or the
-    generator X or Y itself.
+def _product(factors, field, implicit=None) -> BivarExpr:
+    """The product of the factors' sources to their exponents, as an
+    expression over field.  A source is a basis element, whose provenance
+    counts, or the generator X or Y itself.
+
+    Plain, the element powers are the ones cached on each element.  With
+    implicit (an _Implicit of the basis), the powers are its canonical
+    ones and every partial product is reduced, so the product is
+    canonical.  A single factor's product is its cached power itself."""
+    times = mul if implicit is None else implicit._mul
+    got = None
+    for src, e in factors:
+        if implicit is not None:
+            p = implicit.power(src, e)
+        elif isinstance(src, BivarExpr):
+            p = src**e
+        else:
+            p = _cached_power(src._pows, src.provenance, e)
+        got = p if got is None else times(got, p)
+    return BivarExpr.const(field(1)) if got is None else got
+
+
+def _expand(recipe, field) -> BivarExpr:
+    """Sum over the (coeff, factors) terms of a recipe of coeff times the
+    plain _product of the factors, as an expression over field: how a
+    basis element's provenance is built from its recipe.
 
     Each scaled term goes into one numerator dict over a running lcm
     denominator, as BivarExpr stores an expression; a key that cancels is
     popped, as BivarExpr._add does, so the terms keep the order of a
-    sequential sum.
-
-    With implicit (an _Implicit of the basis), each term's product is the
-    canonical one that implicit memoizes per factorization, so the sum is
-    one scaled sum of cached expressions, canonical already, and its final
-    reduction returns at once."""
+    sequential sum."""
     acc, den = {}, 1
     for coeff, factors in recipe:
         if not coeff:
             continue
-        if implicit is not None:
-            term = implicit.product(factors)
-        else:
-            term = None
-            for src, e in factors:
-                if isinstance(src, BivarExpr):
-                    p = src**e
-                else:
-                    p = _cached_power(src._pows, src.provenance, e)
-                term = p if term is None else term * p
-            if term is None:
-                term = BivarExpr.const(field(1))
+        term = _product(factors, field)
         nums, tden = term.nums, term.den
         if field is Fraction:
             # coeff * nums / tden over the running lcm of the denominators
@@ -143,8 +154,6 @@ def _expand(recipe, field, implicit=None) -> BivarExpr:
                 acc[k] = s
             else:
                 acc.pop(k, None)
-    if implicit is not None:
-        return implicit.reduce(acc, den)
     return BivarExpr._make(acc, den, field)
 
 
@@ -217,12 +226,12 @@ class _Implicit:
     found on first use, and not at all while every expression reduced
     already has Y-degree below m.
 
-    Canonical products of element powers are memoized per factorization,
-    as _Reducer memoizes the monic products that subduction subtracts."""
+    Canonical powers are cached on each element; the basis reducer
+    memoizes each degree's canonical product (_product) beside the monic
+    product that subduction subtracts."""
 
     def __init__(self, f: Poly, g: Poly, m: int):
         self.f, self.g, self.m = f, g, m
-        self.products = {}
 
     @cached_property
     def equation(self) -> BivarExpr:
@@ -320,21 +329,6 @@ class _Implicit:
             prov = el.provenance
             pows[1] = self.reduce(prov.nums, prov.den)
         return _cached_power(pows, pows[1], e, self._mul)
-
-    def product(self, factors) -> BivarExpr:
-        """The canonical form of the product of the factors' provenances to
-        their exponents, built once per factors tuple from the canonical
-        powers, each partial product reduced.  A single factor's product is
-        the cached power itself."""
-        got = self.products.get(factors)
-        if got is None:
-            for el, e in factors:
-                p = self.power(el, e)
-                got = p if got is None else self._mul(got, p)
-            if got is None:
-                got = BivarExpr.const(Fraction(1))
-            self.products[factors] = got
-        return got
 
 
 class SagbiBasis(namedtuple("SagbiBasis", "elements f g"), _Frozen):
@@ -441,7 +435,8 @@ class _Reducer:
 
     Keeps suffix reachability tables for the greedy factorization (largest
     degree first), memoizes element powers and, per degree, the monic
-    product that subduction subtracts; all grow on demand.  A memo entry
+    product that subduction subtracts and, once a certificate asks for it,
+    that product's expression in (f, g); all grow on demand.  A memo entry
     holds a product's numerators below its lead with their indexes, its
     support: all of them when that is the smaller form, else only the
     nonzero ones.
@@ -516,12 +511,13 @@ class _Reducer:
 
     def _memo(self, deg: int):
         """The memo entry of degree deg, built from product(deg) once: None
-        if deg is not representable, else (factors, den, nums, support),
-        the product being nums[i] / den at index support[i] below the lead.
-        The support is range(deg) with the product's own numerators, unless
-        at most half the entries below the lead are nonzero: then only
-        those are kept, as two slots per entry then take no more room than
-        one per index."""
+        if deg is not representable, else [factors, den, nums, support,
+        expr], the product being nums[i] / den at index support[i] below
+        the lead, and expr its expression (canonical()), None until asked
+        for.  The support is range(deg) with the product's own numerators,
+        unless at most half the entries below the lead are nonzero: then
+        only those are kept, as two slots per entry then take no more room
+        than one per index."""
         got = self.products.get(deg, _MISSING)
         if got is not _MISSING:
             return got
@@ -533,33 +529,48 @@ class _Reducer:
             if 2 * (deg - nums.count(0)) <= deg:
                 support = tuple(compress(support, nums))
                 nums = tuple(map(nums.__getitem__, support))
-            got = (factors, p.den, nums, support)
+            got = [factors, p.den, nums, support, None]
         self.products[deg] = got
         return got
 
+    def canonical(self, deg: int, implicit) -> BivarExpr:
+        """The expression of the monic product of degree deg (representable)
+        in (f, g): the _product of its factors, canonical modulo implicit
+        when given, built once and kept in the memo entry.  The basis
+        reducer is passed its basis's _implicit every time."""
+        entry = self._memo(deg)
+        expr = entry[4]
+        if expr is None:
+            expr = entry[4] = _product(entry[0], self.field, implicit)
+        return expr
+
     def reduce(self, u: Poly):
-        """Subduct u; returns (remainder, consumed) with consumed a recipe
-        and u = eval(_expand(consumed)) + remainder.  The remainder is
-        constant or has leading degree outside the degree semigroup.
+        """Subduct u; returns (remainder, steps).  The remainder is constant
+        or has leading degree outside the degree semigroup.  Each step is
+        the record (deg, top, d) of plain integers over Q: the remainder
+        then had degree deg and lead top / d, and lost top / d times the
+        monic product of degree deg.  So u is the remainder plus the sum of
+        those multiples (certificate() builds that sum, recipe() the same
+        with the factors).  Over RatFunc top is the lead and d is 1.
 
         The remainder is one list of numerators over one denominator d, as
         Poly stores it, and it becomes a Poly, in lowest terms, only at the
         end.  A step scales it in one pass if it must, then subtracts the
         memoized product over its support in place, entry by entry."""
-        field = self.field
-        if u.field is not field:
+        if u.field is not self.field:
             raise TypeError("polynomial is over a different field than the basis")
         nums, d = list(u.nums), u.den
-        consumed = []
+        steps = []
         while len(nums) > 1:
-            got = self._memo(len(nums) - 1)
+            deg = len(nums) - 1
+            got = self._memo(deg)
             if got is None:
                 break
             if self.budget is not None:
                 self.budget.tick("subduction")
-            factors, dp, pnums, support = got
+            _, dp, pnums, support, _ = got
             top = nums.pop()
-            consumed.append((Fraction(top, d) if field is Fraction else top, factors))
+            steps.append((deg, top, d))
             # r - (top / d) * prod, with prod = pnums / dp monic (lead dp):
             # over d * s, with s = dp / gcd(top, dp), it is
             # s * nums - (top * s / dp) * pnums, and the tops cancel
@@ -574,25 +585,63 @@ class _Reducer:
                 nums[k] -= v * top
             while nums and not nums[-1]:
                 nums.pop()
-        return Poly._make(nums, d, field), tuple(consumed)
+        return Poly._make(nums, d, self.field), tuple(steps)
+
+    def recipe(self, steps) -> tuple:
+        """The step records as a recipe: (top / d, factors of deg) each."""
+        if self.field is Fraction:
+            return tuple((Fraction(top, d), self.factorizations[deg]) for deg, top, d in steps)
+        return tuple((top, self.factorizations[deg]) for deg, top, _ in steps)
+
+    def certificate(self, steps, implicit, rest: Poly | None = None) -> BivarExpr:
+        """The sum over the step records (deg, top, d) of top / d times the
+        canonical(deg, implicit) product, plus the constant rest if given:
+        an expression of u - remainder, or of u itself when rest is u's
+        constant remainder.
+
+        Over Q the sum is assembled in one pass over one common denominator
+        D, the lcm of d * den over the terms (den the product's own): each
+        term adds top * (D // (d * den)) times the product's numerators into
+        one dict, where a key that cancels is popped, so the terms keep the
+        order of a sequential sum.  With an implicit equation every product
+        is canonical, so the sum is too."""
+        terms = [(top, d, self.canonical(deg, implicit)) for deg, top, d in steps]
+        if rest is not None and rest.nums:
+            terms.append((rest.nums[0], rest.den, BivarExpr.const(self.field(1))))
+        # over RatFunc every d and den is 1, and so is their lcm
+        den = math.lcm(*(d * p.den for _, d, p in terms))
+        acc = {}
+        for top, d, p in terms:
+            k = top if den == 1 else top * (den // (d * p.den))
+            for key, v in p.nums.items():
+                s = acc.get(key, 0) + v * k
+                if s:
+                    acc[key] = s
+                else:
+                    acc.pop(key, None)
+        return BivarExpr._make(acc, den, self.field)
 
 
 def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
     """Reduce u against the basis.  Returns (remainder, consumed) with
     u = eval_bivariate(consumed, f, g) + remainder exactly; each step
-    strictly decreases the degree, so this always terminates.  With
-    certify=False consumed is not built and comes back as None."""
-    r, consumed = basis._reducer.reduce(u)
-    return r, _expand(consumed, basis.f.field, basis._implicit) if certify else None
+    strictly decreases the degree, so this always terminates.  consumed is
+    assembled from the step records in one pass (_Reducer.certificate),
+    canonical over Q; with certify=False it is not built and comes back as
+    None."""
+    reducer = basis._reducer
+    r, steps = reducer.reduce(u)
+    return r, reducer.certificate(steps, basis._implicit) if certify else None
 
 
-def _adjoin(work, r: Poly, head: tuple, consumed: tuple) -> bool:
-    """Append the remainder r = eval(head) - eval(consumed), both recipes,
-    as a fresh monic element.  Constant remainders are absorbed (False)."""
+def _adjoin(work, r: Poly, head: tuple, steps: tuple, reducer: _Reducer) -> bool:
+    """Append the remainder r = eval(head) - (what reducer's steps took),
+    head a recipe, as a fresh monic element.  Constant remainders are
+    absorbed (False)."""
     if r.is_constant:
         return False
     inv = r.field(1) / r.lead
-    recipe = head + tuple((-c, fs) for c, fs in consumed)
+    recipe = head + tuple((-c, fs) for c, fs in reducer.recipe(steps))
     work.append(SagbiElement(r.monic(), tuple((c * inv, fs) for c, fs in recipe), r.degree))
     return True
 
@@ -602,11 +651,11 @@ def _interreduce(work, scalar_field, budget: _Budget):
     while True:
         budget.tick("interreduction")
         for el in sorted(work, key=lambda e: -e.degree):
-            others = [o for o in work if o is not el]
-            r, consumed = _Reducer(others, scalar_field, budget).reduce(el.poly)
+            reducer = _Reducer([o for o in work if o is not el], scalar_field, budget)
+            r, steps = reducer.reduce(el.poly)
             if r != el.poly:
                 work.remove(el)
-                _adjoin(work, r, ((1, ((el, 1),)),), consumed)
+                _adjoin(work, r, ((1, ((el, 1),)),), steps, reducer)
                 break
         else:
             return
@@ -654,8 +703,9 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     one = scalar_field(1)
     for p, gen in ((g, BivarExpr.monomial(0, 1, one)), (f, BivarExpr.monomial(1, 0, one))):
         if not p.is_constant:
-            r, consumed = _Reducer(work, scalar_field, budget).reduce(p)
-            _adjoin(work, r, ((1, ((gen, 1),)),), consumed)
+            reducer = _Reducer(work, scalar_field, budget)
+            r, steps = reducer.reduce(p)
+            _adjoin(work, r, ((1, ((gen, 1),)),), steps, reducer)
     if not work:
         raise TrivialAlgebra("both generators are constant")
 
@@ -678,8 +728,8 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
                     "this should be unreachable for two generators"
                 )
             prod, factors = got
-            r, consumed = full.reduce(el.poly**q - prod)
-            if _adjoin(work, r, ((1, ((el, q),)), (-1, factors)), consumed):
+            r, steps = full.reduce(el.poly**q - prod)
+            if _adjoin(work, r, ((1, ((el, q),)), (-1, factors)), steps, full):
                 break
         else:
             # a round without a new element checked every position
@@ -710,8 +760,11 @@ def _sagbi_cached(f: Poly, g: Poly, cap: int) -> SagbiBasis:
 
 def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResult:
     """Decide u ∈ k[f, g], with a certificate on success and the degree of
-    the irreducible remainder on failure.  certify=False gives the same
-    verdict and obstruction degree with no certificate (None) and no
+    the irreducible remainder on failure.  The certificate is assembled
+    after subduction from its step records and the constant remainder, in
+    one pass over one common denominator (_Reducer.certificate); over Q it
+    is canonical modulo the implicit equation.  certify=False gives the
+    same verdict and obstruction degree with no certificate (None) and no
     expression arithmetic at all."""
     if f.is_constant and g.is_constant:
         raise TrivialAlgebra("membership in k[constants] is not meaningful here")
@@ -719,13 +772,13 @@ def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResu
     if not certify and basis.elements[0].degree == 1 and u.field is f.field:
         # a degree-1 element makes the degree semigroup all of N
         return MembershipResult(True, None, None)
-    r, consumed = basis._reducer.reduce(u)
+    reducer = basis._reducer
+    r, steps = reducer.reduce(u)
     if not r.is_constant:
         return MembershipResult(False, None, r.degree)
     if not certify:
         return MembershipResult(True, None, None)
-    certificate = _expand(consumed + ((r.constant_value(), ()),), f.field, basis._implicit)
-    return MembershipResult(True, certificate, None)
+    return MembershipResult(True, reducer.certificate(steps, basis._implicit, r), None)
 
 
 def brute_force_member(u: Poly, f: Poly, g: Poly, bound: int):

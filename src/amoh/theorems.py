@@ -25,7 +25,7 @@ from .errors import (
 )
 from .field_poly import BivarExpr, Poly
 from .line import is_line
-from .subalgebra import _expand, delta_sequence, sagbi_basis, semigroup_represent
+from .subalgebra import _product, delta_sequence, sagbi_basis, semigroup_represent
 
 __all__ = [
     "StrongAmReport",
@@ -48,8 +48,9 @@ Prop22Report = namedtuple(
 
 
 def _witness(alphas, deltas, basis) -> BivarExpr:
-    """Monic element of degree sum(alphas[i] * deltas[i]) as one recipe:
-    the deltas' greedy factorizations over the basis, to the powers alphas."""
+    """Monic element of degree sum(alphas[i] * deltas[i]): the product of
+    the deltas' greedy factorizations over the basis, to the powers alphas,
+    canonical over Q as the certificates' per-degree products are."""
     red = basis._reducer
     factors = []
     for alpha, delta in zip(alphas, deltas):
@@ -57,7 +58,7 @@ def _witness(alphas, deltas, basis) -> BivarExpr:
         if counts is None:
             raise InternalInconsistency(f"degree {delta} not realized by the basis")
         factors += ((red.by_degree[d], alpha * c) for d, c in counts.items())
-    return _expand(((1, tuple(factors)),), basis.f.field, basis._implicit)
+    return _product(factors, basis.f.field, basis._implicit)
 
 
 def check_strong_am(f: Poly, g: Poly, a: int) -> StrongAmReport:

@@ -372,6 +372,41 @@ class TestMembership:
         assert again == first
         assert [r.member for r in first] == [True, True, False, False]
 
+    def test_warm_certificates_build_no_canonical_products(self, example_curve, monkeypatch):
+        # a certified query builds each degree's canonical product once, in
+        # the basis reducer's memo entry; a warm certified query builds none,
+        # and a query with certify=False none at all, cold or warm
+        from amoh.subalgebra import _Implicit
+
+        curves = [example_curve, _rational_pair(), (Z**12 + Z, Z**18 + Z**2)]
+        cases = [(f, g, u) for f, g in curves
+                 for u in (f**3 * g**2 - g.scale(Fraction(7, 3)) + f, (f * g + const(2)) ** 2,
+                           f**2 * g + Z)]
+        calls = []
+        for owner, name in ((BivarExpr, "__mul__"), (_Implicit, "reduce")):
+            original = getattr(owner, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(owner, name, counting)
+        _sagbi_cached.cache_clear()
+        quick = [is_member(u, f, g, certify=False) for f, g, u in cases]
+        assert calls == []
+        for f, g in curves:
+            basis = sagbi_basis(f, g)
+            assert not _canonical_entries(basis) and "_implicit" not in basis.__dict__
+        first = [is_member(u, f, g) for f, g, u in cases]
+        assert "__mul__" in calls and "reduce" in calls
+        calls.clear()
+        again = [is_member(u, f, g) for f, g, u in cases]
+        again_quick = [is_member(u, f, g, certify=False) for f, g, u in cases]
+        assert calls == []
+        assert again == first and again_quick == quick
+        assert [r.member for r in first] == [True, True, False] * 3
+        assert [r.member for r in quick] == [r.member for r in first]
+
     def test_certificate_sum_adds_no_expressions(self, monkeypatch):
         # _expand sums the recipe into one numerator dict, so certifying
         # (completion and provenances included) never adds two expressions
@@ -486,10 +521,26 @@ class TestSubduct:
         assert subduct(u, basis, certify=False) == (r, None)
 
 
+def _record_leads(reducer, steps):
+    """(top / d, factors of deg) per step record (deg, top, d), built here
+    from the records themselves; over Q top and d are plain integers."""
+    out = []
+    for deg, top, d in steps:
+        if reducer.field is Fraction:
+            assert type(top) is int and type(d) is int and d > 0
+            lead = Fraction(top, d)
+        else:
+            assert d == 1
+            lead = top
+        out.append((lead, reducer.factorizations[deg]))
+    return out
+
+
 class TestSubductionKernel:
     """_Reducer.reduce against a reference written with public Poly
-    arithmetic: the same remainder, the same consumed recipe (exact leads,
-    identical factor tuples) and the same number of budget ticks."""
+    arithmetic: the same remainder, the same steps (the exact leads
+    top / d that the records give, identical factor tuples) and the same
+    number of budget ticks."""
 
     def _check(self, f, g, queries):
         from amoh.subalgebra import _Budget, _Reducer
@@ -499,16 +550,19 @@ class TestSubductionKernel:
         for u in queries:
             budget = _Budget(cap)
             reducer = _Reducer(basis.elements, f.field, budget)
-            r, consumed = reducer.reduce(u)
+            r, steps = reducer.reduce(u)
             want_r, want_consumed = _reference_subduct(reducer, u)
             assert r == want_r
-            assert len(consumed) == len(want_consumed)
-            for (lead, factors), (want_lead, want_factors) in zip(consumed, want_consumed):
+            assert len(steps) == len(want_consumed)
+            got = _record_leads(reducer, steps)
+            for (lead, factors), (want_lead, want_factors) in zip(got, want_consumed):
                 assert type(lead) is type(want_lead) and lead == want_lead
                 assert factors is want_factors
             assert cap - budget.remaining == len(want_consumed)
+            # completion's recipe reads the same leads and factors
+            assert reducer.recipe(steps) == tuple(got)
             # the warm basis reducer agrees too
-            assert basis._reducer.reduce(u) == (r, consumed)
+            assert basis._reducer.reduce(u) == (r, steps)
         return basis
 
     def test_rational_basis_members_and_non_members(self):
@@ -578,7 +632,7 @@ class TestSubductionKernel:
         basis = sagbi_basis(f, g)
         reducer = _Reducer(basis.elements, Fraction)
         start = time.process_time()
-        r, consumed = reducer.reduce(u)
+        r, steps = reducer.reduce(u)
         kernel_s = time.process_time() - start
         # the reference reuses the factorizations and powers the kernel
         # already built; it multiplies only products of two or more powers
@@ -586,7 +640,7 @@ class TestSubductionKernel:
         want_r, want_consumed = _reference_subduct(reducer, u)
         reference_s = time.process_time() - start
         assert r.degree == want_r.degree == 1
-        assert r == want_r and consumed == want_consumed
+        assert r == want_r and _record_leads(reducer, steps) == list(want_consumed)
         assert math.gcd(r.den, *r.nums) == 1 and r.nums[-1]
         assert kernel_s < reference_s
 
@@ -618,9 +672,9 @@ class TestSubductionKernel:
                 entry = reducer._memo(deg)
                 assert entry[0] is factors and entry[1] == prod.den
                 if sparse:
-                    assert entry[2:] == (tuple(low[k] for k in support), support)
+                    assert entry[2:] == [tuple(low[k] for k in support), support, None]
                 else:
-                    assert entry[2:] == (prod.nums, range(deg))
+                    assert entry[2:] == [prod.nums, range(deg), None]
         assert kinds == {True, False}
 
     @pytest.mark.parametrize("f, g", [
@@ -655,7 +709,7 @@ class TestSubductionKernel:
         queries = [Poly([rng.randint(-9, 9) for _ in range(deg)] + [lead])
                    for deg, lead in ((25, -1), (50, 7), (61, 2), (73, -5))]
         for u in queries:
-            _, den, _, support = basis._reducer._memo(u.degree)
+            _, den, _, support, _ = basis._reducer._memo(u.degree)
             assert type(support) is tuple and den % 3 == 0 and u.lead.numerator % den
         self._check(f, g, queries)
 
@@ -760,6 +814,95 @@ class TestExpand:
         assert got.is_zero and got.field is Fraction
 
 
+def _random_member(rng, f, g, weight, field=Fraction):
+    """u = eval(expr) for a random expr with 1 to 6 terms of weight at most
+    weight (constant generators take exponent 0)."""
+    m = f.degree if not f.is_constant else weight + 1
+    n = g.degree if not g.is_constant else weight + 1
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        i = rng.randint(0, weight // m)
+        j = rng.randint(0, (weight - i * m) // n)
+        terms[i, j] = field(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6)))
+    return eval_bivariate(BivarExpr(terms), f, g)
+
+
+class TestOnePassCertificate:
+    """The certificate is assembled from the step records in one pass over
+    one common denominator.  An independent route gives the same
+    expression: the plain provenance expansion of the recorded steps, one
+    BivarExpr sum at a time, reduced modulo R when there is an implicit
+    equation.  subduct's consumed expression is the same sum without the
+    constant remainder."""
+
+    def _check(self, f, g, queries):
+        basis = sagbi_basis(f, g)
+        reducer, implicit, field = basis._reducer, basis._implicit, f.field
+        members = 0
+        for u in queries:
+            res = is_member(u, f, g)
+            r, steps = reducer.reduce(u)
+            recipe = _record_leads(reducer, steps)
+            want = _sequential_expand(recipe, field)
+            if implicit is not None:
+                want = implicit.reduce(want.nums, want.den)
+            rest, consumed = subduct(u, basis)
+            assert rest == r and consumed == want
+            if not res.member:
+                assert not r.is_constant and res.obstruction_degree == r.degree
+                continue
+            members += 1
+            whole = _sequential_expand(recipe + [(r.constant_value(), ())], field)
+            if implicit is not None:
+                whole = implicit.reduce(whole.nums, whole.den)
+            assert res.certificate == whole
+            assert consumed + BivarExpr.const(r.constant_value()) == res.certificate
+            assert eval_bivariate(res.certificate, f, g) == u
+        return members
+
+    def test_pinned_curve_set_and_a_rational_pair(self):
+        from test_pinned_outputs import _curves
+
+        rng = random.Random(18)
+        members = 0
+        for f, g in _curves() + [_rational_pair()]:
+            top = max(f.degree, g.degree, 1)
+            if top > 10 and sagbi_basis(f, g).degrees[0] == 1:
+                # the plain expansion of powers of a long line inverse is slow
+                continue
+            queries = [_random_member(rng, f, g, w) for w in (top, 2 * top)]
+            queries += [queries[0] + Z, const(Fraction(5, 3))]
+            members += self._check(f, g, queries)
+        assert members > 300
+
+    def test_rational_pair_denominators(self):
+        # every step of these queries records a denominator d that is not 1,
+        # and some of their canonical products have a den that is not 1
+        f, g = _rational_pair()
+        rng = random.Random(1801)
+        queries = [_random_member(rng, f, g, w) for w in (12, 24, 36, 48)]
+        assert self._check(f, g, queries) == 4
+        basis = sagbi_basis(f, g)
+        reducer, implicit = basis._reducer, basis._implicit
+        for u in queries:
+            _, steps = reducer.reduce(u)
+            assert steps and all(d != 1 for _, _, d in steps)
+            assert any(reducer.canonical(deg, implicit).den != 1 for deg, _, _ in steps)
+
+    def test_ratfunc_bases(self):
+        from amoh.jacobian import random_tame_automorphism
+
+        x = RatFunc.x()
+        y = Poly.variable(RatFunc)
+        pairs = [random_tame_automorphism(seed, 4) for seed in (1, 3)]
+        pairs.append(((y**2).scale(x), y**3 + y.scale(x / (x + 1))))
+        rng = random.Random(7)
+        for f, g in pairs:
+            queries = [_random_member(rng, f, g, w, RatFunc) for w in (6, 12)]
+            queries += [f * g - g.scale(x), y**7 + f]
+            assert self._check(f, g, queries) >= 3
+
+
 BRUTE_FORCE_PINNED = "3aaf282d407166e7bc09977afeb1aac7b9b856fb52757edcb566a2edb540308b"
 
 
@@ -847,6 +990,13 @@ def _y_degree(expr):
     return max((j for _, j in expr.nums), default=-1)
 
 
+def _canonical_entries(basis):
+    """deg -> (factors, expr) over the basis reducer's memo entries whose
+    expression a certificate has built."""
+    return {deg: (entry[0], entry[4]) for deg, entry in basis._reducer.products.items()
+            if entry is not None and entry[4] is not None}
+
+
 class TestCanonicalCertificates:
     """Over Q a certificate is the one expression of its value with
     Y-degree below m = deg f / deg h: the remainder modulo the implicit
@@ -919,21 +1069,27 @@ class TestCanonicalCertificates:
             }
             u = eval_bivariate(BivarExpr(terms), f, g)
             assert is_member(u, f, g).certificate == BivarExpr(terms)
-        assert basis._implicit.products
+        assert _canonical_entries(basis)
         assert "equation" not in basis._implicit.__dict__
 
     def test_memo_entries_are_reduced_products(self):
         for f, g, m in _CANONICAL_CURVES:
-            implicit = sagbi_basis(f, g)._implicit
+            basis = sagbi_basis(f, g)
+            implicit = basis._implicit
             for u in (f**4 * g**3 + g, f**2 * g**5 - f**7 + const(3)):
                 assert is_member(u, f, g).member
-            assert implicit.products
-            for factors, expr in implicit.products.items():
+            entries = _canonical_entries(basis)
+            assert entries
+            for deg, (factors, expr) in entries.items():
                 unreduced = BivarExpr.const(Fraction(1))
+                want = const(1)
                 for el, e in factors:
                     unreduced = unreduced * el.provenance**e
+                    want = want * el.poly**e
                 assert implicit.reduce(unreduced.nums, unreduced.den) == expr
                 assert _y_degree(expr) < m
+                # the expression is that of the entry's monic product
+                assert want.degree == deg and eval_bivariate(expr, f, g) == want
 
     def test_warm_certificates_multiply_no_expressions(self, monkeypatch):
         # each factorization's canonical product is memoized on the basis,
