@@ -19,12 +19,13 @@ the element degrees is deg h (see _complete):
 Degree questions reduce to coin-problem dynamic programming.  Subduction
 computes polynomials only and records each step as plain integers: the
 degree, the lead numerator it cancelled and the remainder's denominator
-then.  Completion turns the records into a basis element's recipe, and
-`_expand` builds the provenance from it only when one is read.  A
-certificate is assembled after the loop in one pass over one common
-denominator, each step's term a multiple of the canonical product of its
-degree, memoized once per degree beside the monic product that
-subduction subtracts (`_Reducer.certificate`).
+then.  A basis element's recipe keeps the same integers, one record
+(num, den, factors) per term, and `_expand` builds the provenance from it
+only when one is read.  A certificate takes the canonical product of
+each step's degree instead, memoized once per degree beside the monic
+product that subduction subtracts (`_Reducer.certificate`).  Both sums,
+of num / den times an expression, are one `_lincomb` over one common
+denominator.
 
 All public functions are pure; completed bases are cached per (f, g, cap).
 """
@@ -81,7 +82,10 @@ class _Frozen:
 
 class SagbiElement(_Frozen):
     """One basis element: a monic polynomial, its recipe and its degree.
-    The provenance (it evaluates to poly) and its powers are built on read.
+    The recipe's records (num, den, factors) add up num / den times the
+    _product of the factors to poly: integers over Q, den negative after a
+    negative lead, and over RatFunc the coefficient num over den 1.  The
+    provenance (it evaluates to poly) and its powers are built on read.
     Equality and hash read poly and degree only."""
 
     def __init__(self, poly: Poly, recipe: tuple, degree: int):
@@ -125,36 +129,37 @@ def _product(factors, field, implicit=None) -> BivarExpr:
     return BivarExpr.const(field(1)) if got is None else got
 
 
-def _expand(recipe, field) -> BivarExpr:
-    """Sum over the (coeff, factors) terms of a recipe of coeff times the
-    plain _product of the factors, as an expression over field: how a
-    basis element's provenance is built from its recipe.
+def _lincomb(terms, field) -> BivarExpr:
+    """The sum over the (num, den, expr) terms of num / den times expr, as
+    an expression over field: integers num and den over Q, den maybe
+    negative; over RatFunc num is the coefficient and den is 1.
 
-    Each scaled term goes into one numerator dict over a running lcm
-    denominator, as BivarExpr stores an expression; a key that cancels is
-    popped, as BivarExpr._add does, so the terms keep the order of a
-    sequential sum."""
-    acc, den = {}, 1
-    for coeff, factors in recipe:
-        if not coeff:
-            continue
-        term = _product(factors, field)
-        nums, tden = term.nums, term.den
-        if field is Fraction:
-            # coeff * nums / tden over the running lcm of the denominators
-            tden *= coeff.denominator
-            lcm = math.lcm(den, tden)
-            if lcm != den:
-                acc = {k: v * (lcm // den) for k, v in acc.items()}
-                den = lcm
-            coeff = coeff.numerator * (den // tden)
-        for k, v in nums.items():
-            s = acc.get(k, 0) + v * coeff
+    The sum is assembled in one pass over one common denominator, the lcm
+    of den * expr.den over the terms: each term adds
+    num * (lcm // (den * expr.den)) times expr's numerators into one dict,
+    where a key that cancels is popped, as BivarExpr._add does, so the
+    terms keep the order of a sequential sum."""
+    lcm = math.lcm(*(den * expr.den for _, den, expr in terms))
+    acc = {}
+    for num, den, expr in terms:
+        # keeps the sign of a negative den, also when the lcm is 1
+        scale = lcm // (den * expr.den)
+        k = num if scale == 1 else num * scale
+        for key, v in expr.nums.items():
+            s = acc.get(key, 0) + v * k
             if s:
-                acc[k] = s
+                acc[key] = s
             else:
-                acc.pop(k, None)
-    return BivarExpr._make(acc, den, field)
+                acc.pop(key, None)
+    return BivarExpr._make(acc, lcm, field)
+
+
+def _expand(recipe, field) -> BivarExpr:
+    """The sum over the (num, den, factors) records of a recipe of num / den
+    times the plain _product of the factors, as an expression over field:
+    how a basis element's provenance is built from its recipe.  Records
+    with num 0 are skipped, and their products never built."""
+    return _lincomb([(num, den, _product(fs, field)) for num, den, fs in recipe if num], field)
 
 
 def _products(f: Poly, g: Poly, bound: int):
@@ -550,8 +555,8 @@ class _Reducer:
         the record (deg, top, d) of plain integers over Q: the remainder
         then had degree deg and lead top / d, and lost top / d times the
         monic product of degree deg.  So u is the remainder plus the sum of
-        those multiples (certificate() builds that sum, recipe() the same
-        with the factors).  Over RatFunc top is the lead and d is 1.
+        those multiples (certificate() builds that sum; _adjoin keeps the
+        records in a recipe).  Over RatFunc top is the lead and d is 1.
 
         The remainder is one list of numerators over one denominator d, as
         Poly stores it, and it becomes a Poly, in lowest terms, only at the
@@ -587,39 +592,16 @@ class _Reducer:
                 nums.pop()
         return Poly._make(nums, d, self.field), tuple(steps)
 
-    def recipe(self, steps) -> tuple:
-        """The step records as a recipe: (top / d, factors of deg) each."""
-        if self.field is Fraction:
-            return tuple((Fraction(top, d), self.factorizations[deg]) for deg, top, d in steps)
-        return tuple((top, self.factorizations[deg]) for deg, top, _ in steps)
-
     def certificate(self, steps, implicit, rest: Poly | None = None) -> BivarExpr:
-        """The sum over the step records (deg, top, d) of top / d times the
-        canonical(deg, implicit) product, plus the constant rest if given:
-        an expression of u - remainder, or of u itself when rest is u's
-        constant remainder.
-
-        Over Q the sum is assembled in one pass over one common denominator
-        D, the lcm of d * den over the terms (den the product's own): each
-        term adds top * (D // (d * den)) times the product's numerators into
-        one dict, where a key that cancels is popped, so the terms keep the
-        order of a sequential sum.  With an implicit equation every product
-        is canonical, so the sum is too."""
+        """The _lincomb over the step records (deg, top, d) of top / d times
+        the canonical(deg, implicit) product, plus the constant rest if
+        given: an expression of u - remainder, or of u itself when rest is
+        u's constant remainder.  With an implicit equation every product is
+        canonical, so the sum is too."""
         terms = [(top, d, self.canonical(deg, implicit)) for deg, top, d in steps]
         if rest is not None and rest.nums:
             terms.append((rest.nums[0], rest.den, BivarExpr.const(self.field(1))))
-        # over RatFunc every d and den is 1, and so is their lcm
-        den = math.lcm(*(d * p.den for _, d, p in terms))
-        acc = {}
-        for top, d, p in terms:
-            k = top if den == 1 else top * (den // (d * p.den))
-            for key, v in p.nums.items():
-                s = acc.get(key, 0) + v * k
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        return BivarExpr._make(acc, den, self.field)
+        return _lincomb(terms, self.field)
 
 
 def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
@@ -636,13 +618,19 @@ def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
 
 def _adjoin(work, r: Poly, head: tuple, steps: tuple, reducer: _Reducer) -> bool:
     """Append the remainder r = eval(head) - (what reducer's steps took),
-    head a recipe, as a fresh monic element.  Constant remainders are
-    absorbed (False)."""
+    head a recipe, as a fresh monic element.  Its recipe is head and a
+    record (-top, d, factors of deg) per step (deg, top, d), each divided
+    by r's lead.  Constant remainders are absorbed (False)."""
     if r.is_constant:
         return False
-    inv = r.field(1) / r.lead
-    recipe = head + tuple((-c, fs) for c, fs in reducer.recipe(steps))
-    work.append(SagbiElement(r.monic(), tuple((c * inv, fs) for c, fs in recipe), r.degree))
+    recipe = head + tuple((-top, d, reducer.factorizations[deg]) for deg, top, d in steps)
+    if r.field is Fraction:
+        # num / den over the lead nums[-1] / den
+        recipe = tuple((num * r.den, den * r.nums[-1], fs) for num, den, fs in recipe)
+    else:
+        inv = r.field(1) / r.lead
+        recipe = tuple((num * inv, 1, fs) for num, _, fs in recipe)
+    work.append(SagbiElement(r.monic(), recipe, r.degree))
     return True
 
 
@@ -655,7 +643,7 @@ def _interreduce(work, scalar_field, budget: _Budget):
             r, steps = reducer.reduce(el.poly)
             if r != el.poly:
                 work.remove(el)
-                _adjoin(work, r, ((1, ((el, 1),)),), steps, reducer)
+                _adjoin(work, r, ((1, 1, ((el, 1),)),), steps, reducer)
                 break
         else:
             return
@@ -705,7 +693,7 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
         if not p.is_constant:
             reducer = _Reducer(work, scalar_field, budget)
             r, steps = reducer.reduce(p)
-            _adjoin(work, r, ((1, ((gen, 1),)),), steps, reducer)
+            _adjoin(work, r, ((1, 1, ((gen, 1),)),), steps, reducer)
     if not work:
         raise TrivialAlgebra("both generators are constant")
 
@@ -729,7 +717,7 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
                 )
             prod, factors = got
             r, steps = full.reduce(el.poly**q - prod)
-            if _adjoin(work, r, ((1, ((el, q),)), (-1, factors)), steps, full):
+            if _adjoin(work, r, ((1, 1, ((el, q),)), (-1, 1, factors)), steps, full):
                 break
         else:
             # a round without a new element checked every position

@@ -25,7 +25,7 @@ X_REPR = "BivarExpr({(1, 0): Fraction(1, 1)})"
 REASON_REPR = "LineReason(kind='CriterionHolds', which=None, m=None, n=None, deg_h=None)"
 MISS = MembershipResult(False, None, 2)
 MISS_REPR = "MembershipResult(member=False, certificate=None, obstruction_degree=2)"
-ELEMENT = SagbiElement(Z**2, ((Fraction(1), ((BivarExpr.X(), 2),)),), 2)
+ELEMENT = SagbiElement(Z**2, ((1, 1, ((BivarExpr.X(), 2),)),), 2)
 ELEMENT_REPR = f"SagbiElement(poly={Z2_REPR}, degree=2)"
 
 # (record class, field values in order, repr the frozen dataclasses printed)
@@ -97,15 +97,15 @@ def test_basis_caches_its_reducer():
 
 class TestSagbiElement:
     def test_construction_and_repr(self):
-        recipe = ((Fraction(1), ((BivarExpr.X(), 2),)),)
+        recipe = ((1, 1, ((BivarExpr.X(), 2),)),)
         el = SagbiElement(Z**2, recipe, 2)
         assert el == SagbiElement(poly=Z**2, recipe=recipe, degree=2)
         assert (el.poly, el.recipe, el.degree) == (Z**2, recipe, 2)
         assert repr(el) == ELEMENT_REPR
 
     def test_equality_ignores_recipe_and_keeps_provenance_cached(self):
-        a = SagbiElement(Z**2, ((Fraction(1), ((BivarExpr.X(), 1),)),), 2)
-        b = SagbiElement(Z**2, ((Fraction(1), ((BivarExpr.Y(), 1),)),), 2)
+        a = SagbiElement(Z**2, ((1, 1, ((BivarExpr.X(), 1),)),), 2)
+        b = SagbiElement(Z**2, ((-2, -2, ((BivarExpr.Y(), 1),)),), 2)
         assert a == b and hash(a) == hash(b)
         assert a != SagbiElement(Z**2, a.recipe, 3)
         first = a.provenance

@@ -76,10 +76,32 @@ class TestSagbiBasis:
         assert sagbi_basis(f, g).degrees == degrees
 
     def test_provenances_reevaluate(self):
-        f, g = Z**6, Z**8 + Z**7
-        for el in sagbi_basis(f, g).elements:
-            assert eval_bivariate(el.provenance, f, g) == el.poly
-            assert el.poly.lead == 1
+        x, y = RatFunc.x(), Poly.variable(RatFunc)
+        pairs = [
+            (Z**6, Z**8 + Z**7),
+            # non-monic
+            ((Z**6).scale(3), (Z**8 + Z**7).scale(5) - Z**2),
+            # negative leads: -1 makes a record's den -1 over lcm 1
+            (-(Z**6), -(Z**8) + Z**7 + const(2)),
+            ((Z**4 + Z).scale(-2), (Z**6 - Z**2 + Z).scale(Fraction(-3, 5))),
+            # rational coefficients
+            _rational_pair(),
+            (Z**4 + Z.scale(Fraction(1, 3)), Z**6 - (Z**3).scale(Fraction(2, 5)) + const(1)),
+            (Z**12 + Z, Z**18 + Z**2),
+            # over k(x), with a negative and a non-polynomial lead
+            ((y**2).scale(-x), y**3 + y.scale(x / (x + 1))),
+            ((y**4).scale(x / (1 - x)), (y**6 + y).scale(-x - 1)),
+        ]
+        dens = set()
+        for f, g in pairs:
+            basis = sagbi_basis(f, g)
+            assert len(basis.elements) >= 2
+            for el in basis.elements:
+                assert eval_bivariate(el.provenance, f, g) == el.poly
+                assert el.poly.lead == 1
+                if f.field is Fraction:
+                    dens.update(den for _, den, _ in el.recipe)
+        assert -1 in dens and min(dens) < -1
 
     def test_trivial_algebra(self):
         with pytest.raises(TrivialAlgebra):
@@ -543,9 +565,12 @@ class TestSubductionKernel:
     number of budget ticks."""
 
     def _check(self, f, g, queries):
-        from amoh.subalgebra import _Budget, _Reducer
+        from amoh.subalgebra import _adjoin, _Budget, _Reducer
 
         basis = sagbi_basis(f, g)
+        # a remainder with a negative, non-integral lead for _adjoin
+        c = f.field(Fraction(-7, 3))
+        scaled = Poly.variable(f.field).scale(c)
         cap = 10**9
         for u in queries:
             budget = _Budget(cap)
@@ -559,8 +584,18 @@ class TestSubductionKernel:
                 assert type(lead) is type(want_lead) and lead == want_lead
                 assert factors is want_factors
             assert cap - budget.remaining == len(want_consumed)
-            # completion's recipe reads the same leads and factors
-            assert reducer.recipe(steps) == tuple(got)
+            # completion keeps the same records, each over the new lead
+            work = []
+            assert _adjoin(work, scaled, (), steps, reducer)
+            assert len(work[0].recipe) == len(got)
+            for (num, den, factors), (lead, want_factors) in zip(work[0].recipe, got):
+                if f.field is Fraction:
+                    assert type(num) is int and type(den) is int
+                    coeff = Fraction(num, den)
+                else:
+                    assert den == 1
+                    coeff = num
+                assert coeff == -lead / c and factors is want_factors
             # the warm basis reducer agrees too
             assert basis._reducer.reduce(u) == (r, steps)
         return basis
@@ -715,15 +750,33 @@ class TestSubductionKernel:
 
 
 def _sequential_expand(recipe, field):
-    """A recipe summed one scaled term at a time with BivarExpr's +."""
+    """A recipe of (num, den, factors) records summed one scaled term at a
+    time with BivarExpr's +; over RatFunc den is 1."""
     out = BivarExpr.zero(field)
-    for coeff, factors in recipe:
+    for num, den, factors in recipe:
+        if field is Fraction:
+            coeff = Fraction(num, den)
+        else:
+            assert den == 1
+            coeff = num
         term = None
         for src, e in factors:
             p = src**e if isinstance(src, BivarExpr) else src.provenance**e
             term = p if term is None else term * p
         out = out + (BivarExpr.const(field(coeff)) if term is None else term.scale(coeff))
     return out
+
+
+def _evaluate_recipe(recipe, field):
+    """The polynomial a recipe over basis elements stands for, from their
+    polys."""
+    u = Poly.zero(field)
+    for num, den, factors in recipe:
+        term = Poly.constant(1, field)
+        for el, e in factors:
+            term = term * el.poly**e
+        u = u + term.scale(Fraction(num, den) if field is Fraction else num)
+    return u
 
 
 class TestExpand:
@@ -744,73 +797,117 @@ class TestExpand:
     def test_key_cancels_and_comes_back(self):
         X, Y = BivarExpr.X(), BivarExpr.Y()
         got = self._check((
-            (Fraction(2, 3), ((X, 1),)),
-            (1, ((Y, 2),)),
-            (Fraction(-2, 3), ((X, 1),)),
-            (Fraction(5, 7), ((X, 1), (Y, 1))),
-            (3, ((X, 1),)),
+            (2, 3, ((X, 1),)),
+            (1, 1, ((Y, 2),)),
+            (-2, 3, ((X, 1),)),
+            (5, 7, ((X, 1), (Y, 1))),
+            (3, 1, ((X, 1),)),
         ))
         assert list(got.terms) == [(0, 2), (1, 1), (1, 0)]
 
     def test_constants_and_zero_coefficients(self):
         X, Y = BivarExpr.X(), BivarExpr.Y()
         self._check((
-            (Fraction(3, 4), ()),
-            (0, ((X, 2),)),
-            (Fraction(1, 6), ((Y, 1),)),
-            (Fraction(0), ((Y, 3),)),
-            (Fraction(-3, 4), ()),
-            (2, ()),
+            (3, 4, ()),
+            (0, 1, ((X, 2),)),
+            (1, 6, ((Y, 1),)),
+            (0, 5, ((Y, 3),)),
+            (-3, 4, ()),
+            (2, 1, ()),
         ))
-        self._check(((Fraction(0), ()),))
+        self._check(((0, 1, ()),))
         self._check(())
+        # a zero record adds nothing, whatever its den
+        got = self._check((
+            (0, -7, ((X, 3),)),
+            (1, -2, ((Y, 1),)),
+            (0, 3, ()),
+            (0, -1, ((Y, 1),)),
+        ))
+        assert got == BivarExpr({(0, 1): Fraction(-1, 2)})
+        assert self._check(((0, -1, ()), (0, 9, ((X, 1),)))).is_zero
+
+    def test_negative_denominators(self):
+        # a record's den has the sign of the lead it was divided by; with
+        # den -1 alone the common denominator is 1, and the sign must stay
+        X, Y = BivarExpr.X(), BivarExpr.Y()
+        got = self._check(((2, -1, ((X, 1),)), (1, 1, ((Y, 1),)), (3, -1, ((X, 2),))))
+        assert got == BivarExpr({(1, 0): -2, (0, 1): 1, (2, 0): -3})
+        got = self._check(((1, -1, ((X, 1),)), (-4, -4, ((X, 1),)), (5, -1, ())))
+        assert got == BivarExpr.const(-5)
+        third = BivarExpr.monomial(1, 1, Fraction(1, 3))
+        got = self._check((
+            (3, -4, ((X, 1),)),
+            (-5, -2, ()),
+            (7, -6, ((third, 1),)),
+            (1, 6, ((Y, 1),)),
+            (-9, 12, ((X, 1),)),
+        ))
+        assert got == BivarExpr({
+            (1, 0): Fraction(-3, 2),
+            (0, 0): Fraction(5, 2),
+            (1, 1): Fraction(-7, 18),
+            (0, 1): Fraction(1, 6),
+        })
 
     def test_provenance_sources(self):
         f, g = _rational_pair()
         basis = sagbi_basis(f, g)
         recipe = tuple(
-            (Fraction(k - 3, k + 2), ((el, k % 3 + 1),) + ((basis.elements[0], 1),) * (k % 2))
+            ((k - 3) * (-1) ** k, (k + 2) * (-1) ** (k // 2),
+             ((el, k % 3 + 1),) + ((basis.elements[0], 1),) * (k % 2))
             for k, el in enumerate(basis.elements * 3)
         )
+        assert any(den < 0 for _, den, _ in recipe)
         got = self._check(recipe)
-        u = Poly.zero(Fraction)
-        for c, factors in recipe:
-            term = const(1)
-            for el, e in factors:
-                term = term * el.poly**e
-            u = u + term.scale(c)
-        assert eval_bivariate(got, f, g) == u
+        assert eval_bivariate(got, f, g) == _evaluate_recipe(recipe, Fraction)
+
+    def test_ratfunc_provenance_sources(self):
+        # RatFunc, rational and integer coefficients over a basis over k(x)
+        # with a negative lead
+        x, y = RatFunc.x(), Poly.variable(RatFunc)
+        f, g = (y**2).scale(-x), y**3 + y.scale(x / (x + 1))
+        basis = sagbi_basis(f, g)
+        a, b = basis.elements
+        recipe = (
+            (x, 1, ((a, 2),)),
+            (Fraction(-2, 3), 1, ((b, 1), (a, 1))),
+            (3, 1, ()),
+            (-x, 1, ((a, 2),)),
+            (x / (x + 1), 1, ((b, 2),)),
+            (Fraction(1, 2), 1, ((a, 1),)),
+        )
+        got = self._check(recipe, RatFunc)
+        assert eval_bivariate(got, f, g) == _evaluate_recipe(recipe, RatFunc)
 
     def test_ratfunc_coefficients_mixed_with_rational_terms(self):
-        from amoh import RatFunc
-
         one = RatFunc(1)
         X, Y = BivarExpr.monomial(1, 0, one), BivarExpr.monomial(0, 1, one)
         x = RatFunc.x()
         over_x = BivarExpr.monomial(0, 1, RatFunc(Poly.one(Fraction), Poly([1, 1])))
         self._check((
-            (Fraction(1, 2), ((X, 2),)),
-            (3, ()),
-            (x, ((X, 2),)),
-            (Fraction(-1, 2), ((X, 2),)),
-            (1, ((over_x, 1),)),
-            (-x, ((X, 2),)),
-            (RatFunc(0), ((Y, 1),)),
-            (Fraction(2, 9), ((Y, 1),)),
+            (Fraction(1, 2), 1, ((X, 2),)),
+            (3, 1, ()),
+            (x, 1, ((X, 2),)),
+            (Fraction(-1, 2), 1, ((X, 2),)),
+            (1, 1, ((over_x, 1),)),
+            (-x, 1, ((X, 2),)),
+            (RatFunc(0), 1, ((Y, 1),)),
+            (Fraction(2, 9), 1, ((Y, 1),)),
         ), RatFunc)
         # a sum over RatFunc that cancels to nothing stays over RatFunc, and
         # so does one with a zero RatFunc constant, as in is_member over
         # k(x); a zero multiple of a product adds nothing
-        got = self._check(((x, ((Y, 1),)), (-x, ((Y, 1),))), RatFunc)
+        got = self._check(((x, 1, ((Y, 1),)), (-x, 1, ((Y, 1),))), RatFunc)
         assert got.is_zero and got.field is RatFunc
-        got = self._check(((1, ((Y, 1),)), (RatFunc(0), ())), RatFunc)
+        got = self._check(((1, 1, ((Y, 1),)), (RatFunc(0), 1, ())), RatFunc)
         assert got.field is RatFunc
-        got = self._check(((x, ()), (RatFunc(0), ())), RatFunc)
+        got = self._check(((x, 1, ()), (RatFunc(0), 1, ())), RatFunc)
         assert list(got.terms) == [(0, 0)]
-        got = self._check(((RatFunc(0), ((Y, 1),)),), RatFunc)
+        got = self._check(((RatFunc(0), 1, ((Y, 1),)),), RatFunc)
         assert got.is_zero and got.field is RatFunc
         Yq = BivarExpr.Y()
-        got = self._check(((Fraction(0), ((Yq, 1),)), (0, ())))
+        got = self._check(((0, 1, ((Yq, 1),)), (0, 1, ())))
         assert got.is_zero and got.field is Fraction
 
 
@@ -842,7 +939,7 @@ class TestOnePassCertificate:
         for u in queries:
             res = is_member(u, f, g)
             r, steps = reducer.reduce(u)
-            recipe = _record_leads(reducer, steps)
+            recipe = [(lead, 1, factors) for lead, factors in _record_leads(reducer, steps)]
             want = _sequential_expand(recipe, field)
             if implicit is not None:
                 want = implicit.reduce(want.nums, want.den)
@@ -852,7 +949,7 @@ class TestOnePassCertificate:
                 assert not r.is_constant and res.obstruction_degree == r.degree
                 continue
             members += 1
-            whole = _sequential_expand(recipe + [(r.constant_value(), ())], field)
+            whole = _sequential_expand(recipe + [(r.constant_value(), 1, ())], field)
             if implicit is not None:
                 whole = implicit.reduce(whole.nums, whole.den)
             assert res.certificate == whole
