@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -677,6 +678,8 @@ def main(argv=None) -> int:
         return fail(2, str(exc))
     except (MemoryError, RecursionError) as exc:
         return fail(2, str(exc) or type(exc).__name__)
+    except BrokenPipeError:
+        raise  # the reader is gone, so there is no one to tell: run() exits quietly
     except (AmohError, OSError) as exc:
         # OSError: unreadable stdin or an unwritable --out path
         return fail(1, str(exc))
@@ -692,4 +695,14 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point: exit with main()'s status.  A reader that closes the
+    pipe early (`amoh ... | head -n 1`) ends the run with status 1 and no
+    traceback; stdout then points at devnull, so that the interpreter's
+    last flush does not fail again (the recipe of Python's signal docs)."""
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(status)

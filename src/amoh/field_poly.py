@@ -293,12 +293,42 @@ class Poly:
         return divmod(self, other)[1]
 
     def monic(self):
+        """self / self.lead; self itself when already monic.  Over Q the
+        lead is nums[-1] / den, so the result is nums / nums[-1] (signs
+        flipped to keep the denominator positive), with no Fraction."""
         if self.is_zero:
             raise DivisionByZeroPoly("cannot normalize the zero polynomial")
+        if self.field is Fraction:
+            lead = self.nums[-1]
+            if lead == self.den:
+                return self
+            nums = self.nums if lead > 0 else [-x for x in self.nums]
+            return Poly._make(nums, abs(lead), Fraction)
         lc = self.lead
         if lc == self.field(1):
             return self
         return self.scale(self.field(1) / lc)
+
+    def _cancel_lead(self, other):
+        """(self - c*other, c) for c = self.lead / other.lead, where other
+        has self's degree: the difference has a lower degree.
+
+        Over Q this is one integer pass.  With T/dt and L/dl the leads of
+        self and other, g = gcd(T, L), a = L/g and b = T/g (both negated
+        when a < 0), the difference is (a*self.nums - b*other.nums) /
+        (dt*a), and only c = T*dl / (dt*L) is built as a Fraction."""
+        self._check_field(other)
+        if self.field is not Fraction:
+            c = self.lead / other.lead
+            return self - other.scale(c), c
+        top, low = self.nums[-1], other.nums[-1]
+        g = math.gcd(top, low)
+        a, b = low // g, top // g
+        if a < 0:
+            a, b = -a, -b
+        nums = self.nums if a == 1 else [x * a for x in self.nums]
+        out = list(map(operator.sub, nums, map(operator.mul, other.nums, repeat(b))))
+        return Poly._make(out, self.den * a, Fraction), Fraction(b * other.den, self.den * a)
 
     def derivative(self):
         return Poly._make([x * i for i, x in enumerate(self.nums)][1:], self.den, self.field)
@@ -782,6 +812,26 @@ class BivarExpr:
         p = c.numerator
         nums = self.nums if p == 1 else {k: v * p for k, v in self.nums.items()}
         return BivarExpr._make(nums, self.den * c.denominator, field)
+
+    def _sub_scaled(self, other, c) -> "BivarExpr":
+        """self - c*other.  Over Q one integer pass over one denominator:
+        with c = p/q, D = lcm(self.den, q*other.den), it is
+        (self.nums*ka - other.nums*kb) / D for ka = D/self.den and
+        kb = p*D/(q*other.den); keys keep the order of the subtraction."""
+        self._check_field(other)
+        if self.field is not Fraction:
+            return self - other.scale(c)
+        da, db = self.den, other.den * c.denominator
+        g = math.gcd(da, db)
+        ka, kb = db // g, c.numerator * (da // g)
+        out = dict(self.nums) if ka == 1 else {k: v * ka for k, v in self.nums.items()}
+        for k, v in other.nums.items():
+            s = out.get(k, 0) - v * kb
+            if s:
+                out[k] = s
+            else:
+                out.pop(k, None)
+        return BivarExpr._make(out, da * ka, Fraction)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:

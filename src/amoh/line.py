@@ -2,8 +2,9 @@
 
 A pair (f, g) is an embedded line when k[f, g] = k[z].  Two independent
 deciders live here: the derivative criterion (both f' and g' must be
-members of k[f, g]) and a constructive elimination loop that repeatedly
-kills the leading term of the higher-degree generator and, on success,
+members of k[f, g]) and a constructive elimination loop, the
+Abhyankar–Moh descent, that repeatedly kills the leading term of the
+higher-degree generator with a power of the lower one and, on success,
 assembles an explicit two-variable inverse P with P(f, g) = z.  The two
 routes are always cross-checked against each other; disagreement is a bug
 and aborts.
@@ -16,7 +17,7 @@ import random
 from collections import namedtuple
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .field_poly import BivarExpr, Poly, eval_bivariate
+from .field_poly import BivarExpr, Poly, _cached_power, eval_bivariate
 from .subalgebra import is_member, sagbi_basis
 
 __all__ = [
@@ -54,10 +55,17 @@ def criterion_check(f: Poly, g: Poly) -> bool:
 
 def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
     """Replay the elimination steps on (X, Y) to get work[k] = p as an
-    expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1."""
-    exprs = [BivarExpr.X(), BivarExpr.Y()]
+    expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1.  Powers
+    of the lower expression come from one ladder per run of steps with
+    the same lower one, as in reduce_to_line, and each step subtracts
+    c times its power in one pass (_sub_scaled)."""
+    one = f.field(1)
+    exprs = [BivarExpr.monomial(1, 0, one), BivarExpr.monomial(0, 1, one)]
+    pows, last = {}, None
     for hi, power, c in steps:
-        exprs[hi] = exprs[hi] - (exprs[1 - hi] ** power).scale(c)
+        if hi != last:
+            pows, last = {}, hi
+        exprs[hi] = exprs[hi]._sub_scaled(_cached_power(pows, exprs[1 - hi], power), c)
     c0, c1 = p.coeff(0), p.coeff(1)
     inverse = (exprs[k] - BivarExpr.const(c0)).scale(p.field(1) / c1)
     if eval_bivariate(inverse, f, g) != Poly.variable(f.field):
@@ -68,8 +76,15 @@ def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
 def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
     """Constructive decider: repeatedly subtract a power of the lower
     generator to cancel the higher one's leading term (f's on a tie),
-    recording each step so that both generators are expressions in the
-    original (f, g).
+    recording each step (hi, power, c) so that both generators are
+    expressions in the original (f, g).
+
+    Each step is one integer pass over Q (Poly._cancel_lead): top minus
+    c times low**power, with c = lead(top) / lead(low**power) the only
+    Fraction built.  Consecutive steps against the same lower generator
+    take its powers from one ladder (_cached_power), so each power is
+    multiplied once; the ladder is dropped when the lower generator
+    changes, that is, when the other generator becomes the higher one.
 
     Stops successfully when a generator reaches degree 1 (replaying the
     steps on (X, Y) and inverting it yields the inverse), and
@@ -77,9 +92,9 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
     survivor has degree above 1, or when both collapse to constants.  The
     top degree strictly decreases, so at most deg f + deg g steps run.
     """
-    field = f.field
     work = [f, g]
     steps = []
+    pows, last = {}, None
     while True:
         for k, p in enumerate(work):
             if p.degree == 1:
@@ -101,9 +116,9 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
                 False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
             )
         power = top.degree // low.degree
-        # one scale per step: the lead of low**power, times c, is top's
-        c = top.lead * (field(1) / low.lead) ** power
-        work[hi] = top - (low**power).scale(c)
+        if hi != last:
+            pows, last = {}, hi
+        work[hi], c = top._cancel_lead(_cached_power(pows, low, power))
         steps.append((hi, power, c))
 
 

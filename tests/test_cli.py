@@ -644,6 +644,24 @@ class TestEnvironmentCap:
             assert "Traceback" not in proc.stderr
             assert "AMOH_ITER_CAP" in json.loads(proc.stdout)["error"]
 
+    def test_reader_closing_the_pipe_early_gets_no_traceback(self):
+        # 3000 curves are over 300 KB of JSON lines, more than a pipe holds,
+        # so the writer is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "amoh.cli", "gen-corpus", "--count", "3000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["kind"]
+        finally:
+            proc.stdout.close()
+            proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert b"Traceback" not in err and err == b""
+        assert proc.returncode == 1
+
     def test_module_runs_without_warnings(self):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "amoh.cli", "sagbi", "--f", "z^2", "--g", "z^3"],

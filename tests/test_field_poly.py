@@ -91,6 +91,31 @@ class TestPolyBasics:
         p = (Z**2).scale(3) + Z.scale(6)
         assert p.monic() == Z**2 + Z.scale(2)
 
+    @pytest.mark.parametrize("coeffs, want", [
+        ([1, 4, -2], [Fraction(-1, 2), -2, 1]),
+        ([Fraction(1, 3), 0, Fraction(3, 5)], [Fraction(5, 9), 0, 1]),
+        ([Fraction(-2, 7), Fraction(-5, 3)], [Fraction(6, 35), 1]),
+        ([Fraction(-4, 9)], [1]),
+    ])
+    def test_monic_negative_and_rational_leads(self, coeffs, want):
+        got = Poly(coeffs).monic()
+        assert got == Poly(want)
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+        assert list(got.coeffs) == [Fraction(c) / Fraction(coeffs[-1]) for c in coeffs]
+
+    def test_monic_of_a_monic_poly_is_itself(self):
+        for p in (Poly([Fraction(2, 3), -1, 1]), Z, Poly([1]), Poly.variable(RatFunc)):
+            assert p.monic() is p
+
+    def test_monic_over_ratfunc(self):
+        x, y = RatFunc.x(), Poly.variable(RatFunc)
+        lead = -x / (x + 1)
+        p = (y**2).scale(lead) + y.scale(x) + Poly.constant(RatFunc(3), RatFunc)
+        got = p.monic()
+        assert got.field is RatFunc and got.lead == RatFunc(1)
+        assert got.scale(lead) == p
+        assert got.coeff(1) == -(x + 1) and got.coeff(0) == RatFunc(3) / lead
+
     def test_divmod_by_zero_raises(self):
         with pytest.raises(DivisionByZeroPoly):
             divmod(Z**2, Poly.zero(Fraction))
@@ -270,6 +295,17 @@ class TestIntegerCore:
         assert list(pa.derivative().coeffs) == _strip(c * i for i, c in enumerate(a))[1:]
         if a:
             assert list(pa.monic().coeffs) == [c / a[-1] for c in a]
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        _coeff_lists(12), st.lists(_COEFF, max_size=12), _COEFF.filter(bool), _COEFF.filter(bool)
+    )
+    def test_cancel_lead(self, a, b, la, lb):
+        b = (b + [Fraction(0)] * len(a))[:len(a)]
+        got, c = Poly(a + [la])._cancel_lead(Poly(b + [lb]))
+        assert type(c) is Fraction and c == la / lb
+        assert list(got.coeffs) == _ref_add(a, [-c * y for y in b])
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
 
     @settings(deadline=None, max_examples=60)
     @given(_coeff_lists(8), _coeff_lists(8), st.integers(1, 2**64))
@@ -510,6 +546,14 @@ class TestBivarIntegerCore:
             self._canonical(got)
             assert got.terms == want
             assert got == BivarExpr(want) and hash(got) == hash(BivarExpr(want))
+
+    @settings(deadline=None, max_examples=80)
+    @given(_BTERMS, _BTERMS, _BCOEFF)
+    def test_sub_scaled_is_one_pass_of_scale_and_subtract(self, a, b, c):
+        ea, eb = BivarExpr(a), BivarExpr(b)
+        got, want = ea._sub_scaled(eb, Fraction(c)), ea - eb.scale(c)
+        self._canonical(got)
+        assert got == want and list(got.nums) == list(want.nums)
 
     def test_scale_by_zero_int_and_fraction(self):
         e = BivarExpr({(1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 6)})

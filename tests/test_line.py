@@ -1,14 +1,19 @@
 """The line deciders: derivative criterion, constructive elimination, and
 their agreement over the generated corpus."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoh import (
     BivarExpr,
+    InternalInconsistency,
     Poly,
     PreconditionViolated,
+    RatFunc,
     criterion_check,
     eval_bivariate,
     is_line,
@@ -16,14 +21,66 @@ from amoh import (
     random_line_curve,
     reduce_to_line,
 )
+from amoh import line as line_module
 from amoh.line import (
     ALGEBRA_TRIVIAL,
     CRITERION_HOLDS,
     DIVISIBILITY_FAILURE,
     UNFAITHFUL_PARAMETER,
+    LineReason,
+    LineVerdict,
 )
 
 from conftest import Z, const
+
+
+# The elimination as it ran on Fractions, with a fresh power and a scaling
+# per step, kept as the reference that the integer step and the power
+# ladder must reproduce.  It is verbatim but for one edit: X and Y start
+# over f's field (they were over Q, so every line over k(x) raised
+# TypeError).
+
+def _reference_inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
+    one = f.field(1)
+    exprs = [BivarExpr.monomial(1, 0, one), BivarExpr.monomial(0, 1, one)]
+    for hi, power, c in steps:
+        exprs[hi] = exprs[hi] - (exprs[1 - hi] ** power).scale(c)
+    c0, c1 = p.coeff(0), p.coeff(1)
+    inverse = (exprs[k] - BivarExpr.const(c0)).scale(p.field(1) / c1)
+    if eval_bivariate(inverse, f, g) != Poly.variable(f.field):
+        raise InternalInconsistency("tracked inverse does not evaluate to z")
+    return inverse
+
+
+def _reference_reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
+    field = f.field
+    work = [f, g]
+    steps = []
+    while True:
+        for k, p in enumerate(work):
+            if p.degree == 1:
+                return LineVerdict(
+                    True, _reference_inverse(k, p, steps, f, g), LineReason(CRITERION_HOLDS)
+                )
+        pf, pg = work
+        if pf.is_constant and pg.is_constant:
+            return LineVerdict(False, None, LineReason(ALGEBRA_TRIVIAL))
+        if pf.is_constant or pg.is_constant:
+            survivor = pg if pf.is_constant else pf
+            return LineVerdict(
+                False, None, LineReason(UNFAITHFUL_PARAMETER, deg_h=survivor.degree)
+            )
+        hi = 0 if pf.degree >= pg.degree else 1
+        top, low = work[hi], work[1 - hi]
+        if top.degree % low.degree:
+            return LineVerdict(
+                False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
+            )
+        power = top.degree // low.degree
+        # one scale per step: the lead of low**power, times c, is top's
+        c = top.lead * (field(1) / low.lead) ** power
+        work[hi] = top - (low**power).scale(c)
+        steps.append((hi, power, c))
 
 
 class TestExampleCurve:
@@ -167,3 +224,122 @@ class TestCorpus:
             assert not verdict.is_line
             assert verdict.reason.kind == DIVISIBILITY_FAILURE
             assert (verdict.reason.m, verdict.reason.n) == (3, 2)
+
+
+def _as_ratfunc(p: Poly) -> Poly:
+    return Poly([RatFunc(c) for c in p.coeffs], RatFunc)
+
+
+def _ratfunc_lines():
+    """Lines over k(x): random lines over Q moved by invertible steps with
+    coefficients in x, so leads are rational functions, some negative."""
+    x, y = RatFunc.x(), Poly.variable(RatFunc)
+    a, b = -x / (x + 1), RatFunc(Poly([3, 0, 1]), Poly([-2, 1]))
+    out = [(y.scale(a) + Poly.constant(x, RatFunc), (y**3).scale(b) + y)]
+    for seed in range(40):
+        f, g = random_line_curve(seed, 4, 2)
+        if min(f.degree, g.degree) < 1 or max(f.degree, g.degree) > 4:
+            continue
+        f, g = _as_ratfunc(f), _as_ratfunc(g)
+        g = g + (f**2).scale(b) if seed % 2 else g + f.scale(x)
+        out.append((f.scale(a), g))
+        out.append((g, f + g.scale(RatFunc(1) / x)))
+    return out
+
+
+class TestIntegerElimination:
+    """reduce_to_line against the Fraction reference above: verdicts,
+    reasons, the step records (hi, power, c) that build an inverse, and
+    inverses (numerators and denominator) are equal.  Steps are recorded
+    where both deciders hand them to their inverse builders, so for every
+    line."""
+
+    @pytest.fixture
+    def compare(self, monkeypatch):
+        logs = {}
+
+        def recording(name, original):
+            def builder(k, p, steps, f, g):
+                logs[name] = list(steps)
+                return original(k, p, steps, f, g)
+            return builder
+
+        monkeypatch.setattr(line_module, "_inverse", recording("new", line_module._inverse))
+        monkeypatch.setattr(
+            sys.modules[__name__], "_reference_inverse", recording("ref", _reference_inverse)
+        )
+
+        def check(f, g):
+            logs.clear()
+            got, want = reduce_to_line(f, g), _reference_reduce_to_line(f, g)
+            assert (got.is_line, got.reason) == (want.is_line, want.reason)
+            assert logs.get("new") == logs.get("ref")
+            if want.inverse is None:
+                assert got.inverse is None
+            else:
+                assert got.inverse.field is want.inverse.field
+                assert (got.inverse.nums, got.inverse.den) == (want.inverse.nums, want.inverse.den)
+            return got
+
+        return check
+
+    def test_corpus(self, corpus, compare):
+        lines = sum(compare(f, g).is_line for _, f, g in corpus)
+        assert 0 < lines < len(corpus)
+
+    def test_random_lines(self, compare):
+        for seed in range(200):
+            f, g = random_line_curve(seed, 3 + seed % 8)
+            compare(f, g)
+            compare(g, f)
+
+    @pytest.mark.parametrize("a, b", [
+        (-1, 1), (Fraction(-3, 7), Fraction(5, 2)), (Fraction(2, 9), -6), (-4, Fraction(-1, 3)),
+    ])
+    def test_rational_and_negative_leads(self, compare, a, b):
+        for seed in range(40):
+            f, g = random_line_curve(1000 + seed, 6)
+            compare(f.scale(a), g.scale(b))
+            compare((f + g.scale(b)).scale(a), g)
+        compare((Z**3).scale(a) + Z, (Z**6).scale(b) + Z**2)
+        assert compare(Z.scale(a) + const(b), (Z**2).scale(b)).is_line
+
+    def test_ratfunc_lines(self, compare):
+        for f, g in _ratfunc_lines():
+            assert compare(f, g).is_line
+
+
+class TestPowerLadder:
+    @staticmethod
+    def _count_products(monkeypatch, cls):
+        calls = []
+        original = cls.__mul__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        return calls
+
+    @pytest.mark.parametrize("shape", ["one run", "two runs"])
+    def test_each_power_of_the_lower_generator_is_built_once(self, monkeypatch, shape):
+        low = Z**2 + Z.scale(3)
+        if shape == "one run":
+            # f is a polynomial in g = low plus z: powers 5, 4, 3, 2, 1 of
+            # g, four products to build them
+            coeffs = [2, -1, 3, 1, -2]
+            f = sum((low**k).scale(c) for k, c in enumerate(coeffs, 1)) + Z
+            g, products = low, 4
+        else:
+            # f = g**2 + low first takes power 2 of g (one product); then
+            # g = low**3 + low**2 + low + z takes powers 3, 2, 1 of the new
+            # f = low from a fresh ladder (two products)
+            g = low**3 + low**2 + low + Z
+            f, products = g**2 + low, 3
+        polys = self._count_products(monkeypatch, Poly)
+        exprs = self._count_products(monkeypatch, BivarExpr)
+        verdict = reduce_to_line(f, g)
+        assert verdict.is_line
+        assert len(polys) == products and len(exprs) == products
+        assert eval_bivariate(verdict.inverse, f, g) == Z
