@@ -556,14 +556,20 @@ def corpus_pairs(count: int, seed: int):
 def _cmd_gen_corpus(args) -> int:
     if args.count < 0:
         raise PreconditionViolated(f"--count must be nonnegative, got {args.count}")
-    sink = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    records = (
+        json.dumps({"kind": kind, "f": render_poly(f), "g": render_poly(g)}) + "\n"
+        for kind, f, g in corpus_pairs(args.count, args.seed)
+    )
+    if args.out == "-":
+        sys.stdout.writelines(records)
+        return 0
     try:
-        for kind, f, g in corpus_pairs(args.count, args.seed):
-            record = {"kind": kind, "f": render_poly(f), "g": render_poly(g)}
-            sink.write(json.dumps(record) + "\n")
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
+        with open(args.out, "w", encoding="utf-8") as sink:
+            sink.writelines(records)
+    except BrokenPipeError as exc:
+        # a reader of --out that goes away makes --out unwritable, an error
+        # main reports; only a closed stdout ends the run quietly (run())
+        raise OSError(str(exc)) from None
     return 0
 
 
@@ -679,7 +685,9 @@ def main(argv=None) -> int:
     except (MemoryError, RecursionError) as exc:
         return fail(2, str(exc) or type(exc).__name__)
     except BrokenPipeError:
-        raise  # the reader is gone, so there is no one to tell: run() exits quietly
+        # only stdout's reader can be gone here (a broken --out arrives as
+        # a plain OSError), so there is no one to tell: run() exits quietly
+        raise
     except (AmohError, OSError) as exc:
         # OSError: unreadable stdin or an unwritable --out path
         return fail(1, str(exc))

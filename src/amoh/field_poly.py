@@ -813,26 +813,6 @@ class BivarExpr:
         nums = self.nums if p == 1 else {k: v * p for k, v in self.nums.items()}
         return BivarExpr._make(nums, self.den * c.denominator, field)
 
-    def _sub_scaled(self, other, c) -> "BivarExpr":
-        """self - c*other.  Over Q one integer pass over one denominator:
-        with c = p/q, D = lcm(self.den, q*other.den), it is
-        (self.nums*ka - other.nums*kb) / D for ka = D/self.den and
-        kb = p*D/(q*other.den); keys keep the order of the subtraction."""
-        self._check_field(other)
-        if self.field is not Fraction:
-            return self - other.scale(c)
-        da, db = self.den, other.den * c.denominator
-        g = math.gcd(da, db)
-        ka, kb = db // g, c.numerator * (da // g)
-        out = dict(self.nums) if ka == 1 else {k: v * ka for k, v in self.nums.items()}
-        for k, v in other.nums.items():
-            s = out.get(k, 0) - v * kb
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BivarExpr._make(out, da * ka, Fraction)
-
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("certificate exponent must be a nonnegative integer")

@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 import random
 from collections import namedtuple
+from fractions import Fraction
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .field_poly import BivarExpr, Poly, _cached_power, eval_bivariate
-from .subalgebra import is_member, sagbi_basis
+from .field_poly import BivarExpr, Poly, eval_bivariate
+from .subalgebra import _lincomb, is_member, sagbi_basis
 
 __all__ = [
     "LineReason",
@@ -55,17 +56,16 @@ def criterion_check(f: Poly, g: Poly) -> bool:
 
 def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
     """Replay the elimination steps on (X, Y) to get work[k] = p as an
-    expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1.  Powers
-    of the lower expression come from one ladder per run of steps with
-    the same lower one, as in reduce_to_line, and each step subtracts
-    c times its power in one pass (_sub_scaled)."""
-    one = f.field(1)
+    expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1.  Each
+    step is one _lincomb, expr_hi - c * expr_lo**power over one common
+    denominator (over Q c enters as its integer numerator and
+    denominator)."""
+    field = f.field
+    one = field(1)
     exprs = [BivarExpr.monomial(1, 0, one), BivarExpr.monomial(0, 1, one)]
-    pows, last = {}, None
     for hi, power, c in steps:
-        if hi != last:
-            pows, last = {}, hi
-        exprs[hi] = exprs[hi]._sub_scaled(_cached_power(pows, exprs[1 - hi], power), c)
+        num, den = (c.numerator, c.denominator) if field is Fraction else (c, 1)
+        exprs[hi] = _lincomb([(1, 1, exprs[hi]), (-num, den, exprs[1 - hi] ** power)], field)
     c0, c1 = p.coeff(0), p.coeff(1)
     inverse = (exprs[k] - BivarExpr.const(c0)).scale(p.field(1) / c1)
     if eval_bivariate(inverse, f, g) != Poly.variable(f.field):
@@ -81,10 +81,7 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
 
     Each step is one integer pass over Q (Poly._cancel_lead): top minus
     c times low**power, with c = lead(top) / lead(low**power) the only
-    Fraction built.  Consecutive steps against the same lower generator
-    take its powers from one ladder (_cached_power), so each power is
-    multiplied once; the ladder is dropped when the lower generator
-    changes, that is, when the other generator becomes the higher one.
+    Fraction built.
 
     Stops successfully when a generator reaches degree 1 (replaying the
     steps on (X, Y) and inverting it yields the inverse), and
@@ -94,7 +91,6 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
     """
     work = [f, g]
     steps = []
-    pows, last = {}, None
     while True:
         for k, p in enumerate(work):
             if p.degree == 1:
@@ -116,9 +112,7 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
                 False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
             )
         power = top.degree // low.degree
-        if hi != last:
-            pows, last = {}, hi
-        work[hi], c = top._cancel_lead(_cached_power(pows, low, power))
+        work[hi], c = top._cancel_lead(low**power)
         steps.append((hi, power, c))
 
 

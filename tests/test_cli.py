@@ -662,6 +662,28 @@ class TestEnvironmentCap:
         assert b"Traceback" not in err and err == b""
         assert proc.returncode == 1
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reader_of_out_closing_early_is_an_error(self, tmp_path):
+        # a broken --out is an unwritable --out, reported as one; only a
+        # closed stdout ends the run quietly
+        fifo = tmp_path / "corpus.fifo"
+        os.mkfifo(fifo)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "amoh.cli", "gen-corpus", "--count", "3000", "--out", str(fifo)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            with open(fifo, encoding="utf-8") as reader:
+                assert json.loads(reader.readline())["kind"]
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert b"Traceback" not in err
+        assert json.loads(out) == {"error": "[Errno 32] Broken pipe"}
+        assert proc.returncode == 1
+
     def test_module_runs_without_warnings(self):
         proc = subprocess.run(
             [sys.executable, "-W", "error", "-m", "amoh.cli", "sagbi", "--f", "z^2", "--g", "z^3"],

@@ -547,14 +547,6 @@ class TestBivarIntegerCore:
             assert got.terms == want
             assert got == BivarExpr(want) and hash(got) == hash(BivarExpr(want))
 
-    @settings(deadline=None, max_examples=80)
-    @given(_BTERMS, _BTERMS, _BCOEFF)
-    def test_sub_scaled_is_one_pass_of_scale_and_subtract(self, a, b, c):
-        ea, eb = BivarExpr(a), BivarExpr(b)
-        got, want = ea._sub_scaled(eb, Fraction(c)), ea - eb.scale(c)
-        self._canonical(got)
-        assert got == want and list(got.nums) == list(want.nums)
-
     def test_scale_by_zero_int_and_fraction(self):
         e = BivarExpr({(1, 0): Fraction(2, 3), (0, 2): Fraction(-5, 6)})
         assert e.scale(0).is_zero and e.scale(Fraction(0)).is_zero

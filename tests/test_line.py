@@ -35,8 +35,8 @@ from conftest import Z, const
 
 
 # The elimination as it ran on Fractions, with a fresh power and a scaling
-# per step, kept as the reference that the integer step and the power
-# ladder must reproduce.  It is verbatim but for one edit: X and Y start
+# per step, kept as the reference that the integer step and the one-pass
+# replay must reproduce.  It is verbatim but for one edit: X and Y start
 # over f's field (they were over Q, so every line over k(x) raised
 # TypeError).
 
@@ -309,7 +309,7 @@ class TestIntegerElimination:
             assert compare(f, g).is_line
 
 
-class TestPowerLadder:
+class TestHighPowerStep:
     @staticmethod
     def _count_products(monkeypatch, cls):
         calls = []
@@ -322,24 +322,17 @@ class TestPowerLadder:
         monkeypatch.setattr(cls, "__mul__", counting)
         return calls
 
-    @pytest.mark.parametrize("shape", ["one run", "two runs"])
-    def test_each_power_of_the_lower_generator_is_built_once(self, monkeypatch, shape):
-        low = Z**2 + Z.scale(3)
-        if shape == "one run":
-            # f is a polynomial in g = low plus z: powers 5, 4, 3, 2, 1 of
-            # g, four products to build them
-            coeffs = [2, -1, 3, 1, -2]
-            f = sum((low**k).scale(c) for k, c in enumerate(coeffs, 1)) + Z
-            g, products = low, 4
-        else:
-            # f = g**2 + low first takes power 2 of g (one product); then
-            # g = low**3 + low**2 + low + z takes powers 3, 2, 1 of the new
-            # f = low from a fresh ladder (two products)
-            g = low**3 + low**2 + low + Z
-            f, products = g**2 + low, 3
+    @pytest.mark.parametrize("monomial", [True, False])
+    def test_one_step_of_power_p_takes_log_p_products(self, monkeypatch, monomial):
+        # one step of power 200: low**200 by repeated squaring is at most
+        # 2 * 8 products (none for a monomial low), where building every
+        # power from 1 up would take 199
+        low = Z**2 if monomial else Z**2 + Z
+        f, g = low**200 + Z, low
         polys = self._count_products(monkeypatch, Poly)
         exprs = self._count_products(monkeypatch, BivarExpr)
         verdict = reduce_to_line(f, g)
         assert verdict.is_line
-        assert len(polys) == products and len(exprs) == products
+        assert len(polys) <= (0 if monomial else 2 * (200).bit_length())
+        assert len(exprs) <= 2 * (200).bit_length()
         assert eval_bivariate(verdict.inverse, f, g) == Z
