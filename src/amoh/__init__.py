@@ -35,18 +35,15 @@ from .subalgebra import (
     SagbiBasis,
     SagbiElement,
     SemigroupRepr,
-    brute_force_member,
     delta_sequence,
     is_member,
     sagbi_basis,
     semigroup_represent,
-    subduct,
 )
 from .decompose import (
     Decomposition,
     common_parameter,
     left_cofactor,
-    right_factor,
 )
 from .line import (
     LineReason,

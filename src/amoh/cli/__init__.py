@@ -481,10 +481,12 @@ def _cmd_strong_am(args, f, g):
     if args.a is not None:
         rep = check_strong_am(f, g, args.a)
         return _strong_am_obj(rep), [_strong_am_text(rep)]
-    top = min(f.degree, g.degree) if not f.is_constant and not g.is_constant else 0
-    reports = [check_strong_am(f, g, a) for a in range(1, top + 1)]
+    # a = 1 is admissible for every nonconstant pair, and on a constant or
+    # zero generator it raises before min() sees a degree
+    reports = [check_strong_am(f, g, 1)]
+    reports += [check_strong_am(f, g, a) for a in range(2, min(f.degree, g.degree) + 1)]
     obj = {"reports": [_strong_am_obj(r) for r in reports]}
-    return obj, [_strong_am_text(r) for r in reports] or ["no admissible a"]
+    return obj, [_strong_am_text(r) for r in reports]
 
 
 def _cmd_prop22(args, f, g):

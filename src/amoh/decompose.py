@@ -16,7 +16,6 @@ from .field_poly import Poly
 
 __all__ = [
     "Decomposition",
-    "right_factor",
     "left_cofactor",
     "common_parameter",
 ]
@@ -56,13 +55,6 @@ def _right_factor_pair(f: Poly, e: int):
         return None
 
 
-def right_factor(f: Poly, e: int):
-    """The unique monic h with h(0) = 0 and deg h = e such that f is a
-    polynomial in h, or None when no such h exists."""
-    pair = _right_factor_pair(f, e)
-    return pair[0] if pair else None
-
-
 def left_cofactor(f: Poly, h: Poly) -> Poly:
     """The unique f~ with f = f~(h), by h-adic expansion: every digit of f
     base h must be a constant.  Verified by recomposition before returning."""
@@ -79,6 +71,19 @@ def left_cofactor(f: Poly, h: Poly) -> Poly:
     if tilde.compose(h) != f:
         raise NotComposable("recomposition mismatch")
     return tilde
+
+
+def _decompose_at(f: Poly, g: Poly, e: int):
+    """The Decomposition of (f, g) through f's normalized inner factor of
+    degree e, or None when f has none or g is no polynomial in it."""
+    pair = _right_factor_pair(f, e)
+    if pair is None:
+        return None
+    h, f_tilde = pair
+    try:
+        return Decomposition(h, f_tilde, left_cofactor(g, h))
+    except NotComposable:
+        return None
 
 
 def _divisors_desc(value: int):
@@ -101,14 +106,8 @@ def common_parameter(f: Poly, g: Poly) -> Decomposition:
         h = (main - Poly.constant(main.coeff(0), main.field)).monic()
         return Decomposition(h, left_cofactor(f, h), left_cofactor(g, h))
     for e in _divisors_desc(math.gcd(f.degree, g.degree))[:-1]:
-        pair = _right_factor_pair(f, e)
-        if pair is None:
-            continue
-        h, f_tilde = pair
-        try:
-            g_tilde = left_cofactor(g, h)
-        except NotComposable:
-            continue
-        return Decomposition(h, f_tilde, g_tilde)
+        dec = _decompose_at(f, g, e)
+        if dec is not None:
+            return dec
     # degree 1 needs no arithmetic: every polynomial is one in h = z
     return Decomposition(Poly.variable(f.field), f, g)

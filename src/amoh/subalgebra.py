@@ -40,11 +40,10 @@ from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from operator import mul, sub
 
-from .decompose import _right_factor_pair, left_cofactor
+from .decompose import _decompose_at
 from .errors import (
     InternalInconsistency,
     InternalLimitExceeded,
-    NotComposable,
     NotInSemigroup,
     PreconditionViolated,
     TrivialAlgebra,
@@ -58,9 +57,7 @@ __all__ = [
     "DeltaSequence",
     "SemigroupRepr",
     "sagbi_basis",
-    "subduct",
     "is_member",
-    "brute_force_member",
     "delta_sequence",
     "semigroup_represent",
 ]
@@ -209,15 +206,6 @@ def _echelon_insert(ech, p, combo: dict):
         combo = {k: v // content for k, v in combo.items()}
         ech[len(p) - 1] = (p, combo)
     return p, combo
-
-
-def _echelon_span(f: Poly, g: Poly, bound: int) -> dict:
-    """Echelon rows spanning the _products up to bound, each inserted with
-    the combination {(i, j): 1}."""
-    ech = {}
-    for i, j, p in _products(f, g, bound):
-        _echelon_insert(ech, p, {(i, j): 1})
-    return ech
 
 
 class _Implicit:
@@ -395,15 +383,11 @@ class _Budget:
         if self.remaining < 0:
             raise InternalLimitExceeded(
                 f"completion work cap exhausted during {what}; "
-                f"raise the cap (argument or {CAP_ENV_VAR}) if the input is legitimate"
+                f"raise the cap ({CAP_ENV_VAR}) if the input is legitimate"
             )
 
 
-def _resolve_cap(f: Poly, g: Poly, cap) -> int:
-    if cap is not None:
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise PreconditionViolated(f"cap must be a positive integer, got {cap!r}")
-        return cap
+def _resolve_cap(f: Poly, g: Poly) -> int:
     env = os.environ.get(CAP_ENV_VAR)
     if env:
         try:
@@ -604,18 +588,6 @@ class _Reducer:
         return _lincomb(terms, self.field)
 
 
-def subduct(u: Poly, basis: SagbiBasis, certify: bool = True):
-    """Reduce u against the basis.  Returns (remainder, consumed) with
-    u = eval_bivariate(consumed, f, g) + remainder exactly; each step
-    strictly decreases the degree, so this always terminates.  consumed is
-    assembled from the step records in one pass (_Reducer.certificate),
-    canonical over Q; with certify=False it is not built and comes back as
-    None."""
-    reducer = basis._reducer
-    r, steps = reducer.reduce(u)
-    return r, reducer.certificate(steps, basis._implicit) if certify else None
-
-
 def _adjoin(work, r: Poly, head: tuple, steps: tuple, reducer: _Reducer) -> bool:
     """Append the remainder r = eval(head) - (what reducer's steps took),
     head a recipe, as a fresh monic element.  Its recipe is head and a
@@ -655,11 +627,7 @@ def _gcd_is_deg_h(f: Poly, g: Poly, work) -> bool:
     d = math.gcd(*(el.degree for el in work))
     if d == 1 or len(work) < 2 or f.field is not Fraction:
         return d == 1
-    pair = _right_factor_pair(f, d)
-    try:
-        return pair is not None and left_cofactor(g, pair[0]) is not None
-    except NotComposable:
-        return False
+    return _decompose_at(f, g, d) is not None
 
 
 def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
@@ -727,18 +695,18 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     return SagbiBasis(elements=elements, f=f, g=g)
 
 
-def sagbi_basis(f: Poly, g: Poly, cap=None) -> SagbiBasis:
+def sagbi_basis(f: Poly, g: Poly) -> SagbiBasis:
     """Complete basis of k[f, g]: monic elements of pairwise distinct
     degrees whose degrees generate the whole degree semigroup, each with a
     provenance expression rebuilding it from (f, g).  Completion stops
     once the gcd of those degrees is deg h, with no relation left to check.
 
     Deterministic; raises TrivialAlgebra when both generators are constant,
-    PreconditionViolated if the work cap (`cap` argument, else the
-    AMOH_ITER_CAP environment variable, else 10*(deg f + deg g)^2) is not a
-    positive integer and InternalLimitExceeded if it is hit.
+    PreconditionViolated if the work cap (the AMOH_ITER_CAP environment
+    variable, else 10*(deg f + deg g)^2) is not a positive integer and
+    InternalLimitExceeded if it is hit.
     """
-    return _sagbi_cached(f, g, _resolve_cap(f, g, cap))
+    return _sagbi_cached(f, g, _resolve_cap(f, g))
 
 
 @lru_cache(maxsize=256)
@@ -767,26 +735,6 @@ def is_member(u: Poly, f: Poly, g: Poly, certify: bool = True) -> MembershipResu
     if not certify:
         return MembershipResult(True, None, None)
     return MembershipResult(True, reducer.certificate(steps, basis._implicit, r), None)
-
-
-def brute_force_member(u: Poly, f: Poly, g: Poly, bound: int):
-    """Independent membership search over Q (TypeError otherwise): u's
-    numerators, under a key of their own, reduce against _echelon_span.
-    Returns a certificate or None; absence within the bound proves nothing."""
-    if not (u.field is f.field is g.field is Fraction):
-        raise TypeError("the brute-force oracle is over the rationals only")
-    r, combo = _echelon_insert(_echelon_span(f, g, bound), u.nums, {None: 1})
-    if r:
-        return None
-    # c * u == -sum(combo[i, j] * (f.den * f)^i * (g.den * g)^j), c = combo[None] * u.den
-    c = combo.pop(None) * u.den
-    s = -1 if c > 0 else 1
-    consumed = BivarExpr._make(
-        {(i, j): s * v * f.den**i * g.den**j for (i, j), v in combo.items()}, abs(c), Fraction
-    )
-    if consumed.eval(f, g) != u:
-        raise InternalInconsistency("echelon certificate failed to re-evaluate")
-    return consumed
 
 
 def delta_sequence(f: Poly, g: Poly) -> DeltaSequence:

@@ -15,7 +15,6 @@ from amoh import (
     BivarExpr,
     NotInSemigroup,
     Poly,
-    brute_force_member,
     check_prop22,
     check_strong_am,
     common_parameter,
@@ -35,6 +34,7 @@ from amoh.line import DIVISIBILITY_FAILURE, UNFAITHFUL_PARAMETER
 from amoh.subalgebra import _sagbi_cached
 
 from conftest import Z, const
+from oracle import brute_force_member
 
 
 def _report(tag, failures, elapsed, detail=""):

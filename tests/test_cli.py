@@ -254,6 +254,16 @@ class TestGoldenOutputs:
         assert "a=2: not applicable" in out
         assert "divisibility holds" in out
 
+    @pytest.mark.parametrize("f, g", [("3", "z^5"), ("z^2", "0"), ("0", "z")])
+    def test_strong_am_sweep_rejects_a_constant_generator(self, capsys, f, g):
+        # the sweep fails on a constant or zero generator as --a 1 does
+        message = "both curve components must be nonconstant"
+        argv = ["strong-am", "--f", f, "--g", g]
+        assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+        want = (1, json.dumps({"error": message}) + "\n", "")
+        assert run_cli(capsys, *argv, "--json") == want
+        assert run_cli(capsys, *argv, "--a", "1", "--json") == want
+
     def test_prop22_canonical(self, capsys):
         status, out, _ = run_cli(
             capsys, "prop22", "--f", "z + 1", "--g", "(z + 1)^3 - 2", "--json"

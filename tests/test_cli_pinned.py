@@ -15,7 +15,7 @@ import json
 
 from amoh.cli import corpus_pairs, main, render_poly
 
-PINNED = "18435a1688fdd6b4a84257a8b5c5038708543bfb8eb5f69319e4c0d15b2e4f85"
+PINNED = "707a6016790d9ad02c965b6f62ff88e8af2c58d2b84037bc90fdfa93c4ea2762"
 
 CURVES = [
     ("z^3", "z^6 + z^2"),

@@ -27,7 +27,6 @@ from amoh import (
     PreconditionViolated,
     RatFunc,
     TrivialAlgebra,
-    brute_force_member,
     common_parameter,
     delta_sequence,
     eval_bivariate,
@@ -38,12 +37,12 @@ from amoh import (
     sagbi_basis,
     semigroup_represent,
     subalgebra,
-    subduct,
 )
 from amoh.line import DIVISIBILITY_FAILURE
 from amoh.subalgebra import CAP_ENV_VAR, _reachable, _sagbi_cached
 
 from conftest import Z, const
+from oracle import _echelon_span, brute_force_member
 
 
 def _semigroup_table(degrees, bound):
@@ -115,15 +114,17 @@ class TestSagbiBasis:
         f, g = example_curve
         assert sagbi_basis(f, g).elements == sagbi_basis(f, g).elements
 
-    def test_cap_is_enforced(self):
+    def test_cap_is_enforced(self, monkeypatch):
         # two gcd drops (4, 2, 1): completion spends 7 ticks before it stops
+        monkeypatch.setenv(CAP_ENV_VAR, "3")
         with pytest.raises(InternalLimitExceeded):
-            sagbi_basis(Z**8, Z**12 + Z**2 + Z, cap=3)
+            sagbi_basis(Z**8, Z**12 + Z**2 + Z)
 
-    @pytest.mark.parametrize("cap", [0, -3, "x", 2.5, True])
-    def test_cap_must_be_a_positive_integer(self, cap):
-        with pytest.raises(PreconditionViolated, match="cap must be a positive integer"):
-            sagbi_basis(Z**6, Z**8 + Z**7, cap=cap)
+    @pytest.mark.parametrize("cap", ["0", "-3", "x", "2.5"])
+    def test_cap_must_be_a_positive_integer(self, cap, monkeypatch):
+        monkeypatch.setenv(CAP_ENV_VAR, cap)
+        with pytest.raises(PreconditionViolated, match=f"{CAP_ENV_VAR} must be a positive integer"):
+            sagbi_basis(Z**6, Z**8 + Z**7)
 
     def test_generator_degrees_always_representable(self):
         rng = random.Random(7)
@@ -233,12 +234,13 @@ class TestStoppedCompletion:
             ((Z**2 + const(1)) ** 100, (Z**2 + const(1)) ** 99 * Z**2, (198, 200), 2),
         ],
     )
-    def test_probes_complete_within_a_small_cap(self, f, g, degrees, cap):
+    def test_probes_complete_within_a_small_cap(self, f, g, degrees, cap, monkeypatch):
         # full completion has one more relation to check, of degree 40100
         # (19800): it blows the cap at that relation's tick
         with pytest.raises(InternalLimitExceeded, match="during relation"):
             _full_completion(f, g, cap)
-        assert sagbi_basis(f, g, cap=cap).degrees == degrees
+        monkeypatch.setenv(CAP_ENV_VAR, str(cap))
+        assert sagbi_basis(f, g).degrees == degrees
 
     def test_high_degree_divisibility_failure(self, monkeypatch):
         f, g = Z**2000 + Z, Z**3000 + Z**2
@@ -299,8 +301,6 @@ class TestEchelonOracle:
 
     @pytest.mark.parametrize("f, g", CURVES)
     def test_realized_degrees_match_semigroup(self, f, g):
-        from amoh.subalgebra import _echelon_span
-
         basis = sagbi_basis(f, g)
         m, n = f.degree, g.degree
         gaps = [
@@ -462,7 +462,7 @@ class TestMembership:
 
         f, g = example_curve
         with pytest.raises(TypeError):
-            subduct(Poly.variable(RatFunc), sagbi_basis(f, g))
+            sagbi_basis(f, g)._reducer.reduce(Poly.variable(RatFunc))
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -520,7 +520,8 @@ def _random_poly(rng, degree, lead):
 
 
 class TestSubduct:
-    """subduct: u == eval(consumed) + remainder, with the remainder constant
+    """Subduction against the basis: u == eval(consumed) + remainder, with
+    consumed the certificate of the steps alone and the remainder constant
     or of a degree outside the degree semigroup."""
 
     @pytest.mark.parametrize(
@@ -536,11 +537,13 @@ class TestSubduct:
     )
     def test_remainder_and_consumed(self, f, g, u):
         basis = sagbi_basis(f, g)
-        r, consumed = subduct(u, basis)
+        r, steps = basis._reducer.reduce(u)
+        consumed = basis._reducer.certificate(steps, basis._implicit)
         assert eval_bivariate(consumed, f, g) + r == u
         reach = _reachable(basis.degrees, max(u.degree, 0))
         assert r.is_constant or not reach[r.degree]
-        assert subduct(u, basis, certify=False) == (r, None)
+        member = r.is_constant
+        assert is_member(u, f, g, certify=False) == (member, None, None if member else r.degree)
 
 
 def _record_leads(reducer, steps):
@@ -929,8 +932,8 @@ class TestOnePassCertificate:
     one common denominator.  An independent route gives the same
     expression: the plain provenance expansion of the recorded steps, one
     BivarExpr sum at a time, reduced modulo R when there is an implicit
-    equation.  subduct's consumed expression is the same sum without the
-    constant remainder."""
+    equation.  The certificate of the steps alone (no rest) is the same sum
+    without the constant remainder."""
 
     def _check(self, f, g, queries):
         basis = sagbi_basis(f, g)
@@ -943,8 +946,8 @@ class TestOnePassCertificate:
             want = _sequential_expand(recipe, field)
             if implicit is not None:
                 want = implicit.reduce(want.nums, want.den)
-            rest, consumed = subduct(u, basis)
-            assert rest == r and consumed == want
+            consumed = reducer.certificate(steps, implicit)
+            assert consumed == want
             if not res.member:
                 assert not r.is_constant and res.obstruction_degree == r.degree
                 continue
