@@ -24,7 +24,6 @@ from .errors import (
 from .field_poly import (
     NEG_INF,
     BivarExpr,
-    Fraction,
     Poly,
     RatFunc,
     eval_bivariate,

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, PreconditionViolated
 from .field_poly import BivarExpr, Poly, eval_bivariate
-from .subalgebra import _lincomb, is_member, sagbi_basis
+from .subalgebra import _generators, _lincomb, is_member, sagbi_basis
 
 __all__ = [
     "LineReason",
@@ -54,21 +54,40 @@ def criterion_check(f: Poly, g: Poly) -> bool:
     return all(is_member(p.derivative(), f, g, certify=False).member for p in (f, g))
 
 
+def _run_power(squares: list, p: int):
+    """L**p for p >= 1, where squares = [L, L**2, L**4, ...] holds the
+    squares of one run's lower generator L and grows as p needs: the
+    product of the squares at p's set bits, lowest first, as repeated
+    squaring multiplies them.  A run's first step has its largest power,
+    so the run squares only as far as repeated squaring of that power
+    does, and each later step adds only its set-bit products."""
+    while p >> len(squares):
+        squares.append(squares[-1] * squares[-1])
+    out = None
+    for i, sq in enumerate(squares):
+        if p >> i & 1:
+            out = sq if out is None else out * sq
+    return out
+
+
 def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
     """Replay the elimination steps on (X, Y) to get work[k] = p as an
     expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1.  Each
     step is one _lincomb, expr_hi - c * expr_lo**power over one common
     denominator (over Q c enters as its integer numerator and
-    denominator)."""
+    denominator), with expr_lo**power from the run's squares."""
     field = f.field
-    one = field(1)
-    exprs = [BivarExpr.monomial(1, 0, one), BivarExpr.monomial(0, 1, one)]
+    X, Y, one = _generators(field)
+    exprs = [X, Y]
+    run = squares = None
     for hi, power, c in steps:
+        if hi != run:
+            run, squares = hi, [exprs[1 - hi]]
         num, den = (c.numerator, c.denominator) if field is Fraction else (c, 1)
-        exprs[hi] = _lincomb([(1, 1, exprs[hi]), (-num, den, exprs[1 - hi] ** power)], field)
+        exprs[hi] = _lincomb([(1, 1, exprs[hi]), (-num, den, _run_power(squares, power))], field)
     c0, c1 = p.coeff(0), p.coeff(1)
-    inverse = (exprs[k] - BivarExpr.const(c0)).scale(p.field(1) / c1)
-    if eval_bivariate(inverse, f, g) != Poly.variable(f.field):
+    inverse = (exprs[k] - one.scale(c0)).scale(field(1) / c1)
+    if eval_bivariate(inverse, f, g) != Poly.variable(field):
         raise InternalInconsistency("tracked inverse does not evaluate to z")
     return inverse
 
@@ -81,7 +100,9 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
 
     Each step is one integer pass over Q (Poly._cancel_lead): top minus
     c times low**power, with c = lead(top) / lead(low**power) the only
-    Fraction built.
+    Fraction built.  A run of steps against one lower generator takes
+    low**power from that run's squares (_run_power), and a monomial low
+    from Poly.__pow__, which needs no products.
 
     Stops successfully when a generator reaches degree 1 (replaying the
     steps on (X, Y) and inverting it yields the inverse), and
@@ -91,6 +112,7 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
     """
     work = [f, g]
     steps = []
+    run = squares = None
     while True:
         for k, p in enumerate(work):
             if p.degree == 1:
@@ -112,7 +134,11 @@ def reduce_to_line(f: Poly, g: Poly) -> LineVerdict:
                 False, None, LineReason(DIVISIBILITY_FAILURE, m=pf.degree, n=pg.degree)
             )
         power = top.degree // low.degree
-        work[hi], c = top._cancel_lead(low**power)
+        if hi != run:
+            monomial = low.field is Fraction and len(low.nums) - low.nums.count(0) == 1
+            run, squares = hi, None if monomial else [low]
+        pw = low**power if squares is None else _run_power(squares, power)
+        work[hi], c = top._cancel_lead(pw)
         steps.append((hi, power, c))
 
 

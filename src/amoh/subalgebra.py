@@ -16,7 +16,10 @@ the element degrees is deg h (see _complete):
   matching difference of monic products drops in degree, and a
   nonconstant irreducible remainder is a new element.
 
-Degree questions reduce to coin-problem dynamic programming.  Subduction
+Degree questions are coin problems.  A reducer of one or two degrees
+answers them by arithmetic (divisibility, and one congruence modulo the
+smaller degree); from three degrees on it keeps dynamic-programming
+reachability tables (_Reducer).  Subduction
 computes polynomials only and records each step as plain integers: the
 degree, the lead numerator it cancelled and the remainder's denominator
 then.  A basis element's recipe keeps the same integers, one record
@@ -104,6 +107,14 @@ class SagbiElement(_Frozen):
         return _expand(self.recipe, self.poly.field)
 
 
+@lru_cache(maxsize=None)
+def _generators(field):
+    """(X, Y, 1) as expressions over field, built once per field; no
+    expression is changed in place, so all callers share them."""
+    one = field(1)
+    return BivarExpr.monomial(1, 0, one), BivarExpr.monomial(0, 1, one), BivarExpr.const(one)
+
+
 def _product(factors, field, implicit=None) -> BivarExpr:
     """The product of the factors' sources to their exponents, as an
     expression over field.  A source is a basis element, whose provenance
@@ -123,7 +134,7 @@ def _product(factors, field, implicit=None) -> BivarExpr:
         else:
             p = _cached_power(src._pows, src.provenance, e)
         got = p if got is None else times(got, p)
-    return BivarExpr.const(field(1)) if got is None else got
+    return _generators(field)[2] if got is None else got
 
 
 def _lincomb(terms, field) -> BivarExpr:
@@ -422,8 +433,11 @@ _MISSING = object()
 class _Reducer:
     """Subduction engine over elements with pairwise distinct degrees.
 
-    Keeps suffix reachability tables for the greedy factorization (largest
-    degree first), memoizes element powers and, per degree, the monic
+    Factors a degree greedily, largest element degree first, each taken as
+    often as the smaller ones can still make up the rest.  Over one or two
+    degrees that is arithmetic (_factor_small); from three degrees on it
+    reads suffix reachability tables, built on demand.  It memoizes element
+    powers and, per degree, the monic
     product that subduction subtracts and, once a certificate asks for it,
     that product's expression in (f, g); all grow on demand.  A memo entry
     holds a product's numerators below its lead with their indexes, its
@@ -457,6 +471,8 @@ class _Reducer:
     def representable(self, deg: int) -> bool:
         if deg < 0:
             return False
+        if len(self.degs_desc) < 3:
+            return self._factor_small(deg) is not None
         self._ensure(deg)
         return bool(self.tables[0][deg])
 
@@ -464,6 +480,8 @@ class _Reducer:
         """Counts per degree summing to deg, greedily taking the largest
         degree as often as the remaining suffix allows.  None if deg is not
         representable."""
+        if len(self.degs_desc) < 3:
+            return self._factor_small(deg) if deg >= 0 else None
         if not self.representable(deg):
             return None
         counts = {}
@@ -475,6 +493,38 @@ class _Reducer:
             if c:
                 counts[d] = c
                 deg -= c * d
+        return counts
+
+    def _factor_small(self, deg: int):
+        """factor(deg) over at most two degrees, deg >= 0, by arithmetic.
+        One degree d takes deg / d copies when d divides deg.  For a > b
+        with g = gcd(a, b), the greedy count c of a is the largest
+        c <= deg // a with c * a = deg (mod b): c = (deg/g) * (a/g)^-1 modulo
+        b/g, raised by multiples of b/g; b makes up the rest."""
+        degs = self.degs_desc
+        if not degs:
+            return {} if deg == 0 else None
+        a = degs[0]
+        if len(degs) == 1:
+            if deg % a:
+                return None
+            return {a: deg // a} if deg else {}
+        b = degs[1]
+        g = math.gcd(a, b)
+        if deg % g:
+            return None
+        m = b // g
+        least = deg // g * pow(a // g, -1, m) % m
+        top = deg // a
+        if least > top:
+            return None
+        c = top - (top - least) % m
+        rest = (deg - c * a) // b
+        counts = {}
+        if c:
+            counts[a] = c
+        if rest:
+            counts[b] = rest
         return counts
 
     def product(self, deg: int):
@@ -584,7 +634,7 @@ class _Reducer:
         canonical, so the sum is too."""
         terms = [(top, d, self.canonical(deg, implicit)) for deg, top, d in steps]
         if rest is not None and rest.nums:
-            terms.append((rest.nums[0], rest.den, BivarExpr.const(self.field(1))))
+            terms.append((rest.nums[0], rest.den, _generators(self.field)[2]))
         return _lincomb(terms, self.field)
 
 
@@ -656,8 +706,8 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
         raise TypeError("generators must share one coefficient field")
     budget = _Budget(cap)
     work = []
-    one = scalar_field(1)
-    for p, gen in ((g, BivarExpr.monomial(0, 1, one)), (f, BivarExpr.monomial(1, 0, one))):
+    X, Y, _ = _generators(scalar_field)
+    for p, gen in ((g, Y), (f, X)):
         if not p.is_constant:
             reducer = _Reducer(work, scalar_field, budget)
             r, steps = reducer.reduce(p)

@@ -1,15 +1,42 @@
-"""The brute-force membership oracle: plain linear algebra over the
-products f^i g^j, independent of basis completion and subduction.
+"""Reference oracles the tests compare the library against.
 
-The certificate tests compare is_member's answers against it.  It reuses
-the library's fraction-free echelon (`_products`, `_echelon_insert`), which
-the implicit equation is found with too.
+The brute-force membership oracle is plain linear algebra over the
+products f^i g^j, independent of basis completion and subduction; the
+certificate tests compare is_member's answers against it.  It reuses the
+library's fraction-free echelon (`_products`, `_echelon_insert`), which the
+implicit equation is found with too.
+
+`greedy_factor` is the degree factorization over suffix reachability
+tables, as `_Reducer` computes it from three degrees on; the tests hold the
+arithmetic of one- and two-degree reducers against it.
 """
 
 from fractions import Fraction
 
 from amoh import BivarExpr, InternalInconsistency
-from amoh.subalgebra import _echelon_insert, _products
+from amoh.subalgebra import _echelon_insert, _products, _reachable
+
+
+def greedy_factor(degrees, deg):
+    """Counts per degree summing to deg, largest degree first, each taken
+    as often as the smaller degrees can still make up the rest, read off
+    the _reachable tables of every suffix; None if deg is no sum of
+    degrees."""
+    degs = sorted(degrees, reverse=True)
+    if deg < 0:
+        return None
+    tables = [_reachable(degs[k:], deg) for k in range(len(degs) + 1)]
+    if not tables[0][deg]:
+        return None
+    counts = {}
+    for k, d in enumerate(degs):
+        c = deg // d
+        while c > 0 and not tables[k + 1][deg - c * d]:
+            c -= 1
+        if c:
+            counts[d] = c
+            deg -= c * d
+    return counts
 
 
 def _echelon_span(f, g, bound):

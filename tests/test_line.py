@@ -1,6 +1,7 @@
 """The line deciders: derivative criterion, constructive elimination, and
 their agreement over the generated corpus."""
 
+import itertools
 import sys
 from fractions import Fraction
 
@@ -336,3 +337,30 @@ class TestHighPowerStep:
         assert len(polys) <= (0 if monomial else 2 * (200).bit_length())
         assert len(exprs) <= 2 * (200).bit_length()
         assert eval_bivariate(verdict.inverse, f, g) == Z
+
+
+class TestRunSquares:
+    def test_one_run_against_a_non_monomial_low(self, monkeypatch):
+        # f = z^2 + z and g = f + f^2 + ... + f^12 + z: eleven steps of
+        # powers 12 down to 2 against the low f, then one of power 1
+        # against g.  The run squares f up to f^8 once, and each step
+        # multiplies the squares at its power's set bits, where a fresh
+        # low**p per step would square again every time
+        f = Z**2 + Z
+        g = sum((f**k for k in range(2, 13)), f) + Z
+        recorded = []
+        monkeypatch.setattr(line_module, "_inverse", lambda k, p, steps, f, g: recorded.append(steps))
+        polys = TestHighPowerStep._count_products(monkeypatch, Poly)
+        assert reduce_to_line(f, g).is_line
+        monkeypatch.undo()
+        (steps,) = recorded
+        assert [(hi, power) for hi, power, _ in steps] == [(1, p) for p in range(12, 1, -1)] + [(0, 1)]
+        # a run's first step has its largest power: f^12 needs f^2, f^4, f^8
+        squares = sum(
+            max(power for _, power, _ in run).bit_length() - 1
+            for _, run in itertools.groupby(steps, key=lambda step: step[0])
+        )
+        set_bits = sum(bin(power).count("1") - 1 for _, power, _ in steps)
+        per_step = sum(power.bit_length() - 1 + bin(power).count("1") - 1 for _, power, _ in steps)
+        assert len(polys) <= squares + set_bits < per_step
+        assert eval_bivariate(reduce_to_line(f, g).inverse, f, g) == Z

@@ -13,7 +13,6 @@ PUBLIC = [
     "Decomposition",
     "DeltaSequence",
     "DivisionByZeroPoly",
-    "Fraction",
     "InternalInconsistency",
     "InternalLimitExceeded",
     "LineReason",

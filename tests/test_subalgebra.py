@@ -12,6 +12,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -42,7 +43,7 @@ from amoh.line import DIVISIBILITY_FAILURE
 from amoh.subalgebra import CAP_ENV_VAR, _reachable, _sagbi_cached
 
 from conftest import Z, const
-from oracle import _echelon_span, brute_force_member
+from oracle import _echelon_span, brute_force_member, greedy_factor
 
 
 def _semigroup_table(degrees, bound):
@@ -1255,6 +1256,49 @@ class TestCanonicalCertificates:
             got = (sagbi_basis(f, g)._implicit.equation ** (f.degree // m)).nums
             scalar = want[0, f.degree] / got[0, f.degree]
             assert want == {k: scalar * c for k, c in got.items()}
+
+
+class TestDegreeFactorization:
+    """_Reducer.factor and representable against the table greedy of
+    tests/oracle.py: the same counts in the same key order, or None.  One
+    and two degrees take the arithmetic path, three the tables."""
+
+    @staticmethod
+    def _check(degrees, deg):
+        from amoh.subalgebra import _Reducer
+
+        reducer = _Reducer([SimpleNamespace(degree=d) for d in degrees], Fraction)
+        want = greedy_factor(degrees, deg)
+        got = reducer.factor(deg)
+        assert got == want and (got is None or list(got) == list(want))
+        assert reducer.representable(deg) == (want is not None)
+        return want is not None
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=3, unique=True),
+        st.integers(0, 400),
+    )
+    def test_random_degrees_and_targets(self, degrees, deg):
+        self._check(degrees, deg)
+
+    def test_every_target_of_small_pairs(self):
+        # gcd 1 and gcd > 1, with the gaps below the conductor and the
+        # targets outside every multiple of the gcd
+        seen = set()
+        for degrees in ([1], [6], [2, 3], [3, 5], [4, 6], [9, 6], [12, 8], [7, 1], [4, 6, 9]):
+            for deg in range(0, 90):
+                seen.add(self._check(degrees, deg))
+        assert seen == {True, False}
+
+    def test_no_degrees_and_negative_targets(self):
+        from amoh.subalgebra import _Reducer
+
+        assert _Reducer([], Fraction).factor(0) == {}
+        assert _Reducer([], Fraction).factor(3) is None
+        for degrees in ([], [2], [2, 3], [2, 3, 7]):
+            reducer = _Reducer([SimpleNamespace(degree=d) for d in degrees], Fraction)
+            assert reducer.factor(-1) is None and not reducer.representable(-2)
 
 
 class TestDeltaSequence:
