@@ -831,33 +831,46 @@ class BivarExpr:
         is added into the row of its terms as it comes, so only the
         current power is held.  Horner then does one product per row.
 
-        Over Q this runs on Python integers, by Kronecker substitution.
-        With f = F/df and g = G/dg (integer numerators F, G) and a, b the
-        top exponents of X and Y, the value is N / (den * df**a * dg**b),
-        where N = sum c_ij * F**i * df**(a-i) * G**j * dg**(b-j).  F and
-        G are packed once at z = 2**(8*width) (_pack), the terms run as
-        above on the packed integers, and N's a*deg f + b*deg g + 1
-        coefficients are read back once (_unpack).  Every coefficient of
-        N is at most sum |c_ij| * |F|**i * df**(a-i) * |G|**j * dg**(b-j)
-        in absolute value, where |F|, the sum of the absolute values of
-        F's coefficients, bounds every coefficient of F**i.  Before any
-        product, width is chosen from bit lengths alone so that
-        2**(8*width-1) exceeds that bound and |F| and |G|: every slot
-        then holds its coefficient, and the result is exact.
+        Over Q this runs on Python integers, by Kronecker substitution
+        (_packed), and N's a*deg f + b*deg g + 1 coefficients are read back
+        once (_unpack).  _evaluates_to compares a target with the packed
+        N itself, read back nowhere.
         """
         self._check_field(f)
         self._check_field(g)
-        keys = self.nums.keys()
-        if len({i for i, _ in keys}) < len({j for _, j in keys}):
-            outer, inner = f, g
-            terms = sorted((j, i, c) for (i, j), c in self.nums.items())
-        else:
-            outer, inner = g, f
-            terms = sorted((i, j, c) for (i, j), c in self.nums.items())
-        if not terms:
+        if not self.nums:
             return Poly.zero(self.field)
         if self.field is not Fraction:
-            return _short_axis(terms, inner, outer, Poly.one(RatFunc))
+            return _short_axis(*self._axis(f, g), Poly.one(RatFunc))
+        value, n, width, den = self._packed(f, g)
+        return Poly._make(_unpack(value, n, width), den, Fraction)
+
+    def _axis(self, f: Poly, g: Poly):
+        """(terms, inner, outer) for _short_axis: outer is the generator
+        with fewer distinct exponents, and each term (e, r, c) is the
+        coefficient c of inner**e * outer**r, sorted by e."""
+        keys = self.nums.keys()
+        if len({i for i, _ in keys}) < len({j for _, j in keys}):
+            return sorted((j, i, c) for (i, j), c in self.nums.items()), g, f
+        return sorted((i, j, c) for (i, j), c in self.nums.items()), f, g
+
+    def _packed(self, f: Poly, g: Poly):
+        """(N, n, width, den) for a nonzero expression over Q: its value at
+        (f, g) is the n coefficients packed in N at z = 2**(8*width) (as
+        _pack packs them), over den.
+
+        With f = F/df and g = G/dg (integer numerators F, G) and a, b the
+        top exponents of X and Y, the value is N / (den * df**a * dg**b),
+        where N = sum c_ij * F**i * df**(a-i) * G**j * dg**(b-j).  F and
+        G are packed once (_pack), and the terms run through _short_axis
+        on the packed integers.  Every coefficient of N is at most
+        sum |c_ij| * |F|**i * df**(a-i) * |G|**j * dg**(b-j) in absolute
+        value, where |F|, the sum of the absolute values of F's
+        coefficients, bounds every coefficient of F**i.  Before any
+        product, width is chosen from bit lengths alone so that
+        2**(8*width-1) exceeds that bound and |F| and |G|: every slot then
+        holds its coefficient, and the result is exact."""
+        terms, inner, outer = self._axis(f, g)
         a_in, a_out = terms[-1][0], max(r for _, r, _ in terms)
         d_in, d_out = inner.den, outer.den
         l_in, l_out = _clog2(sum(map(abs, inner.nums))), _clog2(sum(map(abs, outer.nums)))
@@ -873,8 +886,28 @@ class BivarExpr:
             terms = [(e, r, c * d_in ** (a_in - e) * d_out ** (a_out - r)) for e, r, c in terms]
         value = _short_axis(terms, _pack(inner.nums, width), _pack(outer.nums, width), 1)
         n = a_in * max(len(inner.nums) - 1, 0) + a_out * max(len(outer.nums) - 1, 0) + 1
-        den = self.den * d_in**a_in * d_out**a_out
-        return Poly._make(_unpack(value, n, width), den, Fraction)
+        return value, n, width, self.den * d_in**a_in * d_out**a_out
+
+    def _evaluates_to(self, f: Poly, g: Poly, target: Poly) -> bool:
+        """Whether eval(f, g) == target, by one comparison of packed integers
+        over Q: with N, n, width and den from _packed, the value is target
+        exactly when den * target has integer coefficients, each below
+        2**(8*width-1) in absolute value as N's are, and at most n of them,
+        and packs at the same width to N, since packing is one-to-one on
+        such coefficients.  Over RatFunc it is eval(f, g) == target."""
+        if self.field is not Fraction or target.field is not Fraction or not self.nums:
+            return self.eval(f, g) == target
+        self._check_field(f)
+        self._check_field(g)
+        value, n, width, den = self._packed(f, g)
+        # target is in lowest terms: den * target is integral iff its den divides den
+        scale, rest = divmod(den, target.den)
+        if rest or len(target.nums) > n:
+            return False
+        want = [x * scale for x in target.nums]
+        if want and max(map(abs, want)).bit_length() >= 8 * width:
+            return False
+        return _pack(want, width) == value
 
     def sorted_terms(self):
         """Terms as a list of (i, j, coeff), ordered lexicographically."""

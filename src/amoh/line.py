@@ -18,7 +18,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InternalInconsistency, PreconditionViolated
-from .field_poly import BivarExpr, Poly, eval_bivariate
+from .field_poly import BivarExpr, Poly
 from .subalgebra import _generators, _lincomb, is_member, sagbi_basis
 
 __all__ = [
@@ -75,7 +75,11 @@ def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
     expression in (f, g); p = c1*z + c0, so z = (expr - c0)/c1.  Each
     step is one _lincomb, expr_hi - c * expr_lo**power over one common
     denominator (over Q c enters as its integer numerator and
-    denominator), with expr_lo**power from the run's squares."""
+    denominator), with expr_lo**power from the run's squares.
+
+    The inverse is checked to evaluate to z exactly, over Q on packed
+    integers: its Kronecker value N is compared with den * z packed at the
+    same width (BivarExpr._evaluates_to), and no Poly is read back."""
     field = f.field
     X, Y, one = _generators(field)
     exprs = [X, Y]
@@ -87,7 +91,7 @@ def _inverse(k: int, p: Poly, steps, f: Poly, g: Poly) -> BivarExpr:
         exprs[hi] = _lincomb([(1, 1, exprs[hi]), (-num, den, _run_power(squares, power))], field)
     c0, c1 = p.coeff(0), p.coeff(1)
     inverse = (exprs[k] - one.scale(c0)).scale(field(1) / c1)
-    if eval_bivariate(inverse, f, g) != Poly.variable(field):
+    if not inverse._evaluates_to(f, g, Poly.variable(field)):
         raise InternalInconsistency("tracked inverse does not evaluate to z")
     return inverse
 

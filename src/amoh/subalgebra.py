@@ -8,7 +8,10 @@ the element degrees is deg h (see _complete):
 
 * interreduction: an element whose degree is a sum of the other element
   degrees is subducted against them and replaced by its remainder, or
-  dropped when the remainder is constant;
+  dropped when the remainder is constant.  Any other element is left as it
+  is with no subduction run, as the degrees already show that none would
+  take a step; and a degree-1 element, once in, is kept alone, as every
+  other element subducts to a constant against it;
 * relation resolution: taken in work-list order, each element degree,
   multiplied by the quotient of consecutive gcds along that order, is a
   sum of earlier degrees (the degree semigroup of k[f, g] is telescopic,
@@ -657,13 +660,24 @@ def _adjoin(work, r: Poly, head: tuple, steps: tuple, reducer: _Reducer) -> bool
 
 
 def _interreduce(work, scalar_field, budget: _Budget):
-    """Subduct each element against the others until nothing moves."""
+    """Subduct each element against the others until nothing moves.
+
+    Only an element whose degree is a sum of the other degrees is
+    subducted; any other is its own remainder, as no step could run.  Once
+    a degree-1 element is in, it is kept alone: every other element
+    subducts to a constant against it, and its own degree lies outside the
+    others' semigroup, so its recipe never changes."""
     while True:
         budget.tick("interreduction")
+        low = min(work, key=lambda e: e.degree)
+        if low.degree == 1:
+            work[:] = [low]
+            return
         for el in sorted(work, key=lambda e: -e.degree):
             reducer = _Reducer([o for o in work if o is not el], scalar_field, budget)
-            r, steps = reducer.reduce(el.poly)
-            if r != el.poly:
+            if reducer.representable(el.degree):
+                # a step runs, so the remainder differs from el
+                r, steps = reducer.reduce(el.poly)
                 work.remove(el)
                 _adjoin(work, r, ((1, 1, ((el, 1),)),), steps, reducer)
                 break
@@ -700,7 +714,12 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     Y-degree below N / d_(k+1), and by the lemma its degree, outside
     <delta_0, ..., delta_k>, is delta_(k+1).  At gcd 1 every delta_k is in;
     the last relation left is R itself.  Over k(x) d = 1 stops too; d > 1
-    completes in full there, as the inner-factor test divides over Q only."""
+    completes in full there, as the inner-factor test divides over Q only.
+
+    Only subductions that can take a step run: the first generator goes in
+    as it is, and so does a second one whose degree is no multiple of the
+    first's; _interreduce skips the same idle work, and keeps a degree-1
+    element alone.  The budget is never charged for what is skipped."""
     scalar_field = f.field
     if g.field is not scalar_field:
         raise TypeError("generators must share one coefficient field")
@@ -710,7 +729,7 @@ def _complete(f: Poly, g: Poly, cap: int) -> SagbiBasis:
     for p, gen in ((g, Y), (f, X)):
         if not p.is_constant:
             reducer = _Reducer(work, scalar_field, budget)
-            r, steps = reducer.reduce(p)
+            r, steps = reducer.reduce(p) if reducer.representable(p.degree) else (p, ())
             _adjoin(work, r, ((1, 1, ((gen, 1),)),), steps, reducer)
     if not work:
         raise TrivialAlgebra("both generators are constant")

@@ -9,12 +9,29 @@ implicit equation is found with too.
 `greedy_factor` is the degree factorization over suffix reachability
 tables, as `_Reducer` computes it from three degrees on; the tests hold the
 arithmetic of one- and two-degree reducers against it.
+
+`complete_every_subduction` is basis completion that subducts every
+element in every interreduction pass, whether or not its degree is a sum of
+the others', and keeps subducting against a degree-1 element; the library's
+completion skips both kinds of idle work and must give the same elements,
+recipes and provenances.
 """
 
+import math
 from fractions import Fraction
 
-from amoh import BivarExpr, InternalInconsistency
-from amoh.subalgebra import _echelon_insert, _products, _reachable
+from amoh import BivarExpr, InternalInconsistency, TrivialAlgebra
+from amoh.subalgebra import (
+    SagbiBasis,
+    _adjoin,
+    _Budget,
+    _echelon_insert,
+    _gcd_is_deg_h,
+    _generators,
+    _products,
+    _reachable,
+    _Reducer,
+)
 
 
 def greedy_factor(degrees, deg):
@@ -66,3 +83,65 @@ def brute_force_member(u, f, g, bound):
     if consumed.eval(f, g) != u:
         raise InternalInconsistency("echelon certificate failed to re-evaluate")
     return consumed
+
+
+def _interreduce_every_subduction(work, scalar_field, budget: _Budget):
+    """Subduct each element against the others until nothing moves."""
+    while True:
+        budget.tick("interreduction")
+        for el in sorted(work, key=lambda e: -e.degree):
+            reducer = _Reducer([o for o in work if o is not el], scalar_field, budget)
+            r, steps = reducer.reduce(el.poly)
+            if r != el.poly:
+                work.remove(el)
+                _adjoin(work, r, ((1, 1, ((el, 1),)),), steps, reducer)
+                break
+        else:
+            return
+
+
+def complete_every_subduction(f, g, cap: int) -> SagbiBasis:
+    """The library's _complete, with every subduction run: each generator
+    is subducted as it goes in, and interreduction subducts every element."""
+    scalar_field = f.field
+    if g.field is not scalar_field:
+        raise TypeError("generators must share one coefficient field")
+    budget = _Budget(cap)
+    work = []
+    X, Y, _ = _generators(scalar_field)
+    for p, gen in ((g, Y), (f, X)):
+        if not p.is_constant:
+            reducer = _Reducer(work, scalar_field, budget)
+            r, steps = reducer.reduce(p)
+            _adjoin(work, r, ((1, 1, ((gen, 1),)),), steps, reducer)
+    if not work:
+        raise TrivialAlgebra("both generators are constant")
+
+    while True:
+        _interreduce_every_subduction(work, scalar_field, budget)
+        if _gcd_is_deg_h(f, g, work):
+            break
+        full = _Reducer(work, scalar_field, budget)
+        running = work[0].degree
+        for j in range(1, len(work)):
+            budget.tick("relation")
+            el = work[j]
+            nxt = math.gcd(running, el.degree)
+            q = running // nxt
+            running = nxt
+            got = _Reducer(work[:j], scalar_field, budget).product(q * el.degree)
+            if got is None:
+                raise InternalInconsistency(
+                    "basis degrees are not telescopic in work-list order; "
+                    "this should be unreachable for two generators"
+                )
+            prod, factors = got
+            r, steps = full.reduce(el.poly**q - prod)
+            if _adjoin(work, r, ((1, 1, ((el, q),)), (-1, 1, factors)), steps, full):
+                break
+        else:
+            # a round without a new element checked every position
+            break
+
+    elements = tuple(sorted(work, key=lambda e: e.degree))
+    return SagbiBasis(elements=elements, f=f, g=g)

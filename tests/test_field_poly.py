@@ -852,6 +852,81 @@ class TestKroneckerWidth:
                 assert _bref_eval(verdict.inverse.terms, f, g) == Z
 
 
+def _near_targets(e, f, g):
+    """The value of e at (f, g) and targets next to it: each coefficient of
+    the packed numerator off by one either way, one more coefficient than
+    it has, a denominator that does not divide, and coefficients just past
+    a slot, alone and with the carry that would pack them back to N."""
+    value = e.eval(f, g)
+    if e.is_zero:
+        return [value, const(1), Z, const(Fraction(1, 3))]
+    _, n, width, den = e._packed(f, g)
+    unit, slot = Fraction(1, den), Fraction(2 ** (8 * width), den)
+    targets = [value, value + (Z**n).scale(unit), value + (Z ** (n + 2)).scale(5)]
+    targets += [value + (Z**k).scale(s * unit) for k in range(n) for s in (1, -1)]
+    targets += [value + const(Fraction(1, 7 * den)), value.scale(Fraction(1, 2**61 - 1))]
+    # N over 2 or 3 instead of den: floor division by its denominator
+    # would give back N exactly
+    targets += [value.scale(Fraction(den, q)) for q in (2, 3)]
+    targets += [
+        value + const(slot),
+        value + const(-slot / 2),
+        value + const(slot) - Z.scale(unit),
+        value - (Z ** (n - 1)).scale(slot / 2),
+    ]
+    return targets
+
+
+class TestPackedComparison:
+    """_evaluates_to answers eval(f, g) == target on the packed Kronecker
+    value alone, with no Poly read back."""
+
+    @staticmethod
+    def _check(terms, f, g):
+        e = BivarExpr(terms) if terms else BivarExpr.zero()
+        targets = _near_targets(e, f, g)
+        assert e._evaluates_to(f, g, targets[0])
+        for t in targets:
+            assert e._evaluates_to(f, g, t) == (e.eval(f, g) == t)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_BTERMS, qpoly(4, 9), qpoly(4, 9))
+    def test_near_targets(self, terms, f, g):
+        self._check(terms, f, g)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_WIDE_TERMS, _WIDE_POLY, _WIDE_POLY)
+    def test_near_targets_of_wide_coefficients(self, terms, f, g):
+        self._check(terms, f, g)
+
+    def test_each_refusal(self):
+        # f = 2z + 1, g = z^2: X + Y/3 is (z^2 + 6z + 3) / 3, over den 3,
+        # in N's 1 + 2 + 1 slots
+        f, g = Z.scale(2) + const(1), Z**2
+        e = BivarExpr({(1, 0): Fraction(1), (0, 1): Fraction(1, 3)})
+        value = e.eval(f, g)
+        _, n, width, den = e._packed(f, g)
+        assert (n, den) == (4, 3) and value == (Z**2 + Z.scale(6) + const(3)).scale(Fraction(1, 3))
+        assert e._evaluates_to(f, g, value)
+        # den * target not integral: N / 2, where 3 // 2 * N is N
+        assert not e._evaluates_to(f, g, value.scale(Fraction(3, 2)))
+        assert not e._evaluates_to(f, g, value + const(Fraction(1, 2)))
+        # more coefficients than N
+        assert not e._evaluates_to(f, g, value + Z**4)
+        # a coefficient that does not fit a slot, with the carry that packs
+        # the sum back to N
+        carried = value + const(Fraction(2 ** (8 * width), 3)) - Z.scale(Fraction(1, 3))
+        assert not e._evaluates_to(f, g, carried)
+
+    def test_over_ratfunc(self):
+        x, y = RatFunc.x(), Poly.variable(RatFunc)
+        f, g = y**2 + Poly.constant(x), y.scale(1 / x)
+        e = BivarExpr({(1, 0): x, (0, 2): RatFunc(1)})
+        value = e.eval(f, g)
+        assert e._evaluates_to(f, g, value)
+        assert not e._evaluates_to(f, g, value + y)
+
+
 def test_every_exported_name_resolves():
     import importlib
     import pkgutil

@@ -364,3 +364,26 @@ class TestRunSquares:
         per_step = sum(power.bit_length() - 1 + bin(power).count("1") - 1 for _, power, _ in steps)
         assert len(polys) <= squares + set_bits < per_step
         assert eval_bivariate(reduce_to_line(f, g).inverse, f, g) == Z
+
+
+class TestInverseCheck:
+    def test_a_corrupted_step_is_caught(self, monkeypatch):
+        # the replayed inverse of a step whose c is off no longer evaluates
+        # to z, and the packed comparison says so
+        f = Z**2 + Z
+        g = f**3 + (f**2).scale(2) + Z
+        recorded = []
+        real = line_module._inverse
+        monkeypatch.setattr(
+            line_module, "_inverse", lambda *args: recorded.append(args) or real(*args)
+        )
+        verdict = reduce_to_line(f, g)
+        monkeypatch.undo()
+        (args,) = recorded
+        k, p, steps, _, _ = args
+        assert real(k, p, steps, f, g) == verdict.inverse
+        for i, (hi, power, c) in enumerate(steps):
+            for wrong in (c + 1, c - Fraction(1, 3), -c):
+                broken = steps[:i] + [(hi, power, wrong)] + steps[i + 1:]
+                with pytest.raises(InternalInconsistency, match="does not evaluate to z"):
+                    real(k, p, broken, f, g)

@@ -43,7 +43,7 @@ from amoh.line import DIVISIBILITY_FAILURE
 from amoh.subalgebra import CAP_ENV_VAR, _reachable, _sagbi_cached
 
 from conftest import Z, const
-from oracle import _echelon_span, brute_force_member, greedy_factor
+from oracle import _echelon_span, brute_force_member, complete_every_subduction, greedy_factor
 
 
 def _semigroup_table(degrees, bound):
@@ -281,6 +281,93 @@ class TestStoppedCompletion:
             subalgebra._complete(f, g, 10**9)
         assert log[-1] == deg_h
         assert "relation" not in log[log.index(deg_h):]
+
+
+def _assert_same_as_every_subduction(f, g):
+    got = subalgebra._complete(f, g, 10**9)
+    want = complete_every_subduction(f, g, 10**9)
+    assert [(e.poly, e.degree, e.recipe) for e in got.elements] == [
+        (e.poly, e.degree, e.recipe) for e in want.elements
+    ]
+    for a, b in zip(got.elements, want.elements):
+        assert a.provenance == b.provenance
+
+
+class TestIdleSubductions:
+    """Completion subducts an element only when its degree is a sum of the
+    other degrees, and keeps a degree-1 element alone; against completion
+    that runs every subduction (tests/oracle.py) the elements, recipes and
+    provenances are the same."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.fractions(max_denominator=9).filter(bool), min_size=2, max_size=9),
+        st.lists(st.fractions(max_denominator=9).filter(bool), min_size=2, max_size=13),
+        st.sampled_from([None, Z**2, Z**2 - Z, Z**3 + Z]),
+    )
+    def test_random_pairs(self, fc, gc, inner):
+        f, g = Poly(fc), Poly(gc)
+        if inner is not None:
+            f, g = f.compose(inner), g.compose(inner)
+        _assert_same_as_every_subduction(f, g)
+
+    def test_random_lines(self):
+        for s in range(60):
+            _assert_same_as_every_subduction(*random_line_curve(1500 + s, 3 + s % 6, 5))
+
+    def test_corpus(self, corpus):
+        for _, f, g in corpus:
+            _assert_same_as_every_subduction(f, g)
+
+    def test_ratfunc_pairs_of_the_jacobian_probe(self):
+        x, y = RatFunc.x(), Poly.variable(RatFunc)
+        pairs = [(Poly.constant(x, RatFunc), y + Poly.constant(x * x, RatFunc))]
+        pairs += [random_tame_automorphism(seed, 4) for seed in range(12)]
+        for f, g in pairs:
+            _assert_same_as_every_subduction(f, g)
+
+    @staticmethod
+    def _count_reduce_calls(monkeypatch, f, g):
+        # (calls, calls that took a step) of _Reducer.reduce during completion
+        calls = []
+        original = subalgebra._Reducer.reduce
+
+        def counting(self, u):
+            r, steps = original(self, u)
+            calls.append(bool(steps))
+            return r, steps
+
+        monkeypatch.setattr(subalgebra._Reducer, "reduce", counting)
+        basis = subalgebra._complete(f, g, 10**9)
+        monkeypatch.undo()
+        return basis, len(calls), sum(calls)
+
+    def test_no_subduction_when_no_degree_is_a_sum(self, monkeypatch):
+        # 3 does not divide 4, and 4 is no multiple of 3: nothing to subduct
+        basis, calls, _ = self._count_reduce_calls(monkeypatch, Z**4 + Z, Z**3)
+        assert basis.degrees == (3, 4)
+        assert calls == 0
+
+    def test_only_subductions_that_take_steps(self, monkeypatch):
+        # g = f^3 + 2 f^2 + z subducts to z against f in two steps; then f
+        # would subduct to a constant against z, which is not run
+        f = Z**2 + Z
+        g = f**3 + (f**2).scale(2) + Z
+        basis, calls, stepped = self._count_reduce_calls(monkeypatch, f, g)
+        assert basis.degrees == (1,)
+        assert calls == stepped == 1
+
+    def test_fewer_ticks_than_every_subduction(self, monkeypatch):
+        # completion of the pair above ticks once per interreduction pass
+        # and once per step: 4 ticks, where every subduction takes 7
+        f = Z**2 + Z
+        g = f**3 + (f**2).scale(2) + Z
+        with pytest.raises(InternalLimitExceeded):
+            complete_every_subduction(f, g, 6)
+        assert complete_every_subduction(f, g, 7).degrees == (1,)
+        with pytest.raises(InternalLimitExceeded):
+            subalgebra._complete(f, g, 3)
+        assert subalgebra._complete(f, g, 4).degrees == (1,)
 
 
 class TestEchelonOracle:
