@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import struct
 from fractions import Fraction
 from itertools import repeat
 
@@ -384,9 +385,10 @@ class Poly:
 
 # Products whose shorter operand has fewer nonzero terms than this run
 # faster by schoolbook, which skips zero terms, than by Kronecker
-# substitution, which packs every slot (measured on CPython 3.11 over the
-# products of the benchmark workloads; see CHANGES.md).
-_KRONECKER_MIN_TERMS = 10
+# substitution, which packs every slot (measured on CPython 3.11 with
+# machine-word slots over the products of the benchmark workloads; see
+# CHANGES.md).
+_KRONECKER_MIN_TERMS = 5
 
 
 def _schoolbook_mul(a, b, zero):
@@ -402,6 +404,22 @@ def _schoolbook_mul(a, b, zero):
     return out
 
 
+# struct codes of the machine-word slot widths: little-endian standard
+# sizes, the same on every platform
+_WORDS = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _width(bits: int) -> int:
+    """Bytes per Kronecker slot for coefficients below 2**bits in absolute
+    value: the smallest of 1, 2, 4 or 8 bytes whose signed range holds
+    them, so that _pack and _unpack make one struct call, and above 8 bytes
+    the smallest byte count that does, bits // 8 + 1."""
+    for width in _WORDS:
+        if bits < 8 * width:
+            return width
+    return bits // 8 + 1
+
+
 def _slot_tops(slots: int, width: int) -> int:
     """The top bit of each of `slots` width-byte slots, as one integer."""
     return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
@@ -411,11 +429,17 @@ def _pack(nums, width: int) -> int:
     """sum(nums[k] * 2**(8*width*k)), in time linear in its size.
 
     Each coefficient goes into its own width-byte slot in two's
-    complement.  Flipping every slot's top bit turns that into offset
+    complement: one struct call at a width of 1, 2, 4 or 8 bytes (_width
+    picks those whenever they hold the coefficients), one to_bytes per
+    slot above.  Flipping every slot's top bit turns that into offset
     binary (nums[k] + 2**(8*width-1) per slot, with no carries between
     slots), and subtracting the offsets leaves the sum."""
     tops = _slot_tops(len(nums), width)
-    raw = b"".join([x.to_bytes(width, "little", signed=True) for x in nums])
+    code = _WORDS.get(width)
+    if code is not None:
+        raw = struct.pack(f"<{len(nums)}{code}", *nums)
+    else:
+        raw = b"".join([x.to_bytes(width, "little", signed=True) for x in nums])
     return (int.from_bytes(raw, "little") ^ tops) - tops
 
 
@@ -423,9 +447,13 @@ def _unpack(value: int, n: int, width: int) -> list:
     """The n coefficients that _pack put into value, low degree first;
     each must lie below 2**(8*width-1) in absolute value.  Adding the
     offsets back and flipping every slot's top bit undoes _pack's two
-    steps, and each slot's bytes read back in two's complement."""
+    steps, and the slots read back in two's complement: in one struct
+    call at a width of 1, 2, 4 or 8 bytes, one from_bytes per slot above."""
     tops = _slot_tops(n, width)
     raw = ((value + tops) ^ tops).to_bytes(n * width, "little")
+    code = _WORDS.get(width)
+    if code is not None:
+        return list(struct.unpack(f"<{n}{code}", raw))
     frombytes = int.from_bytes
     return [
         frombytes(raw[k:k + width], "little", signed=True)
@@ -436,10 +464,11 @@ def _unpack(value: int, n: int, width: int) -> list:
 def _kronecker_mul(a, b):
     """Integer coefficient product by Kronecker substitution: evaluate both
     at 2**(8*width), multiply once, and read the product's coefficients
-    back (_unpack).  Every product coefficient is below 2**(8*width-1) in
-    absolute value, so each fits its slot."""
+    back (_unpack).  Every product coefficient is at most bound in absolute
+    value, and width = _width(bound.bit_length()), 1, 2, 4 or 8 bytes when
+    those suffice: each coefficient fits its slot."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
+    width = _width(bound.bit_length())
     pa = _pack(a, width)
     c = pa * pa if a is b else pa * _pack(b, width)
     return _unpack(c, len(a) + len(b) - 1, width)
@@ -833,8 +862,11 @@ class BivarExpr:
 
         Over Q this runs on Python integers, by Kronecker substitution
         (_packed), and N's a*deg f + b*deg g + 1 coefficients are read back
-        once (_unpack).  _evaluates_to compares a target with the packed
-        N itself, read back nowhere.
+        once (_unpack).  Slots are 1, 2, 4 or 8 bytes wide whenever the
+        bound on N's coefficients fits one of those (_width), so packing
+        and reading back are one struct call each; wider bounds take the
+        smallest byte count that holds them.  _evaluates_to compares a
+        target with the packed N itself, read back nowhere.
         """
         self._check_field(f)
         self._check_field(g)
@@ -869,19 +901,21 @@ class BivarExpr:
         coefficients, bounds every coefficient of F**i.  Before any
         product, width is chosen from bit lengths alone so that
         2**(8*width-1) exceeds that bound and |F| and |G|: every slot then
-        holds its coefficient, and the result is exact."""
+        holds its coefficient, and the result is exact.  _width rounds
+        the width up to 1, 2, 4 or 8 bytes when one of those holds the
+        bound, so that F, G and N pack and read back with one struct call
+        each; a wider slot than needed changes only the size of N."""
         terms, inner, outer = self._axis(f, g)
-        a_in, a_out = terms[-1][0], max(r for _, r, _ in terms)
+        a_in, a_out = terms[-1][0], max([r for _, r, _ in terms])
         d_in, d_out = inner.den, outer.den
         l_in, l_out = _clog2(sum(map(abs, inner.nums))), _clog2(sum(map(abs, outer.nums)))
         ld_in, ld_out = _clog2(d_in), _clog2(d_out)
-        top = max(
-            _clog2(abs(c)) + e * (l_in - ld_in) + r * (l_out - ld_out) for e, r, c in terms
-        )
-        # every coefficient of N, and of F and G, is at most 2**bits,
-        # which is below 2**(8*width-1)
+        k_in, k_out = l_in - ld_in, l_out - ld_out
+        top = max([c.bit_length() + e * k_in + r * k_out for e, r, c in terms])
+        # every coefficient of N, and of F and G, is at most 2**bits
+        # (c.bit_length() >= _clog2(abs(c))), below 2**(bits + 1)
         bits = max(top + a_in * ld_in + a_out * ld_out + _clog2(len(terms)), l_in, l_out)
-        width = (bits + 1) // 8 + 1
+        width = _width(bits + 1)
         if d_in != 1 or d_out != 1:
             terms = [(e, r, c * d_in ** (a_in - e) * d_out ** (a_out - r)) for e, r, c in terms]
         value = _short_axis(terms, _pack(inner.nums, width), _pack(outer.nums, width), 1)

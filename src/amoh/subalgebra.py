@@ -603,9 +603,10 @@ class _Reducer:
             raise TypeError("polynomial is over a different field than the basis")
         nums, d = list(u.nums), u.den
         steps = []
+        products = self.products
         while len(nums) > 1:
             deg = len(nums) - 1
-            got = self._memo(deg)
+            got = products[deg] if deg in products else self._memo(deg)
             if got is None:
                 break
             if self.budget is not None:
@@ -635,7 +636,12 @@ class _Reducer:
         given: an expression of u - remainder, or of u itself when rest is
         u's constant remainder.  With an implicit equation every product is
         canonical, so the sum is too."""
-        terms = [(top, d, self.canonical(deg, implicit)) for deg, top, d in steps]
+        products = self.products
+        terms = []
+        for deg, top, d in steps:
+            # reduce built the memo entry of every step's degree
+            expr = products[deg][4]
+            terms.append((top, d, self.canonical(deg, implicit) if expr is None else expr))
         if rest is not None and rest.nums:
             terms.append((rest.nums[0], rest.den, _generators(self.field)[2]))
         return _lincomb(terms, self.field)

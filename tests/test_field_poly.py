@@ -2,6 +2,7 @@
 
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,14 @@ from amoh import (
     random_line_curve,
     reduce_to_line,
 )
-from amoh.field_poly import _KRONECKER_MIN_TERMS, _kronecker_mul, _schoolbook_mul
+from amoh.field_poly import (
+    _KRONECKER_MIN_TERMS,
+    _kronecker_mul,
+    _pack,
+    _schoolbook_mul,
+    _unpack,
+    _width,
+)
 
 from conftest import Z, const
 
@@ -850,6 +858,85 @@ class TestKroneckerWidth:
             assert verdict.inverse.eval(f, g) == Z
             if seed % 4 == 0:
                 assert _bref_eval(verdict.inverse.terms, f, g) == Z
+
+
+class TestMachineWordSlots:
+    """Slots are 1, 2, 4 or 8 bytes wide whenever one of those holds the
+    bound, packed and read back by one struct call; wider slots go one
+    to_bytes / from_bytes per slot.  Either way the packed integer is the
+    plain sum of shifted coefficients."""
+
+    # the bit counts at which the rounded width changes, and one either side
+    EDGES = (7, 8, 15, 16, 31, 32, 63, 64, 65)
+
+    def test_width_is_the_smallest_word_then_the_smallest_byte_count(self):
+        assert [_width(b) for b in (0, 1, 7)] == [1, 1, 1]
+        assert [_width(b) for b in self.EDGES] == [1, 2, 2, 4, 4, 8, 8, 9, 9]
+        for bits in range(200):
+            w = _width(bits)
+            # the slot's signed range holds the bound, and no narrower one does
+            assert bits < 8 * w
+            narrower = [v for v in (1, 2, 4, 8) if v < w] if bits < 64 else [w - 1]
+            assert all(bits >= 8 * v for v in narrower)
+
+    @pytest.mark.parametrize("width", range(1, 18))
+    def test_round_trips_equal_the_shifted_sum(self, width):
+        top = 2 ** (8 * width - 1) - 1
+        rng = random.Random(width)
+        cases = [[top], [-top], [0], [top, -top, 0, 0, 0, top, -top], [0, 0, 0, -top]]
+        cases += [[0] * 9 + [top] + [0] * 7 + [-top] + [0] * 3]
+        cases += [[rng.randint(-top, top) for _ in range(n)] for n in (1, 2, 5, 33)]
+        cases += [[rng.choice((0, 0, top, -top, 1, -1)) for _ in range(40)]]
+        for nums in cases:
+            packed = _pack(nums, width)
+            assert packed == sum(x << (8 * width * k) for k, x in enumerate(nums))
+            assert _unpack(packed, len(nums), width) == nums
+            # read back with more slots than were packed: the extra ones are 0
+            assert _unpack(packed, len(nums) + 2, width) == nums + [0, 0]
+
+    @pytest.mark.parametrize("bits", [15, 16, 31, 32, 63, 64, 65])
+    def test_kronecker_matches_schoolbook_at_the_rounding_edges(self, bits):
+        # full magnitudes of one sign put the middle coefficient of the
+        # product at the bound, whose bit length is exactly bits
+        rng = random.Random(bits)
+        for n in (1, 2, 3, 5, 8):
+            m = math.isqrt((2**bits - 1) // n)
+            assert (m * m * n).bit_length() == bits
+            for a, b in (([m] * n, [m] * n), ([-m] * n, [m] * n), ([m] * n, [-m] * (n + 3))):
+                assert _kronecker_mul(a, b) == _schoolbook_mul(a, b, 0)
+            a = [m] * n
+            a[rng.randrange(n)] = -m
+            b = [rng.choice((m, -m, 0)) for _ in range(n + 4)] + [m]
+            assert _kronecker_mul(a, b) == _schoolbook_mul(a, b, 0)
+            assert _kronecker_mul(a, a) == _schoolbook_mul(a, a, 0)
+
+    @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
+    def test_evaluates_to_refuses_a_coefficient_just_past_the_slot(self, width):
+        # f = 2^s z + 1, g = z^2 and X + Y/3: find s whose packed width is
+        # width, then move one coefficient of den * value just past the
+        # signed range of a slot, alone and with the carry into the next
+        # slot that packs the sum back to N
+        e = BivarExpr({(1, 0): Fraction(1), (0, 1): Fraction(1, 3)})
+        g = Z**2
+        for s in range(80):
+            f = Z.scale(2**s) + const(1)
+            _, _, got, den = e._packed(f, g)
+            if got == width:
+                break
+        else:
+            pytest.fail(f"no s packs at width {width}")
+        value = e.eval(f, g)
+        assert e._evaluates_to(f, g, value)
+        half = 2 ** (8 * width - 1)
+        targets = [
+            value + const(Fraction(half, den)),
+            value - const(Fraction(half, den)),
+            value + const(Fraction(2 * half, den)) - Z.scale(Fraction(1, den)),
+            value - (Z**2).scale(Fraction(2 * half, den)) + (Z**3).scale(Fraction(1, den)),
+        ]
+        for t in targets:
+            assert not e._evaluates_to(f, g, t)
+            assert e.eval(f, g) != t
 
 
 def _near_targets(e, f, g):

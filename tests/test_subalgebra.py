@@ -40,7 +40,14 @@ from amoh import (
     subalgebra,
 )
 from amoh.line import DIVISIBILITY_FAILURE
-from amoh.subalgebra import CAP_ENV_VAR, _reachable, _sagbi_cached
+from amoh.subalgebra import (
+    CAP_ENV_VAR,
+    _generators,
+    _lincomb,
+    _reachable,
+    _Reducer,
+    _sagbi_cached,
+)
 
 from conftest import Z, const
 from oracle import _echelon_span, brute_force_member, complete_every_subduction, greedy_factor
@@ -1343,6 +1350,56 @@ class TestCanonicalCertificates:
             got = (sagbi_basis(f, g)._implicit.equation ** (f.degree // m)).nums
             scalar = want[0, f.degree] / got[0, f.degree]
             assert want == {k: scalar * c for k, c in got.items()}
+
+
+class TestInlineMemoReads:
+    """reduce reads a degree's memo entry straight from the reducer's dict
+    and builds it only on a miss; certificate reads each entry's expression
+    and builds it (canonical) only while it is None.  A warm reducer gives
+    what a cold one gives."""
+
+    @staticmethod
+    def _queries(f, g, seed):
+        rng = random.Random(seed)
+        top = max(f.degree, g.degree)
+        queries = [_random_member(rng, f, g, w) for w in (top, 2 * top, 3 * top, 4 * top)]
+        return queries + [queries[1] + Z, f * g + const(Fraction(2, 3))]
+
+    def test_warm_reduce_takes_the_cold_steps(self):
+        for k, (f, g, _) in enumerate(_CANONICAL_CURVES):
+            elements = sagbi_basis(f, g).elements
+            queries = self._queries(f, g, 2400 + k)
+            warm = _Reducer(elements, f.field)
+            first = [warm.reduce(u) for u in queries]
+            assert warm.products
+            for u, got in zip(queries, first):
+                cold = _Reducer(elements, f.field).reduce(u)
+                assert warm.reduce(u) == got == cold
+
+    def test_warm_certificates_equal_those_built_through_canonical(self):
+        partly_built = 0
+        for k, (f, g, _) in enumerate(_CANONICAL_CURVES):
+            basis = sagbi_basis(f, g)
+            implicit, field = basis._implicit, f.field
+            queries = self._queries(f, g, 2410 + k)
+            warm = _Reducer(basis.elements, field)
+            reduced = [warm.reduce(u) for u in queries]
+            # certify every other query first, so that later certificates
+            # meet entries with and without an expression
+            order = reduced[::2] + reduced[1::2]
+            for r, steps in order:
+                exprs = [warm.products[deg][4] for deg, _, _ in steps]
+                partly_built += None in exprs and any(e is not None for e in exprs)
+                rest = r if r.is_constant else None
+                got = warm.certificate(steps, implicit, rest)
+                cold = _Reducer(basis.elements, field)
+                terms = [(top, d, cold.canonical(deg, implicit)) for deg, top, d in steps]
+                if rest is not None and rest.nums:
+                    terms.append((rest.nums[0], rest.den, _generators(field)[2]))
+                want = _lincomb(terms, field)
+                assert list(got.nums.items()) == list(want.nums.items())
+                assert got.den == want.den
+        assert partly_built
 
 
 class TestDegreeFactorization:
