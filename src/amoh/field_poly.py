@@ -245,7 +245,7 @@ class Poly:
             else:
                 out = (0,) * (len(short) - 1) + tuple(map(operator.mul, long, repeat(c)))
         elif terms >= _KRONECKER_MIN_TERMS:
-            out = _kronecker_mul(a, b)
+            out = _kronecker_mul(a, b, words_only=terms < _KRONECKER_WIDE_MIN_TERMS)
         else:
             out = _schoolbook_mul(a, b, 0)
         return Poly._make(out, self.den * other.den, Fraction)
@@ -385,10 +385,14 @@ class Poly:
 
 # Products whose shorter operand has fewer nonzero terms than this run
 # faster by schoolbook, which skips zero terms, than by Kronecker
-# substitution, which packs every slot (measured on CPython 3.11 with
-# machine-word slots over the products of the benchmark workloads; see
-# CHANGES.md).
+# substitution, which packs every slot: measured on CPython 3.11 over the
+# products of the three benchmark workloads, all of which (from 2 to 16
+# terms) pack at 1 to 8 bytes, with one struct call per pack.  Slots
+# wider than 8 bytes go one to_bytes per slot, which on synthetic dense
+# products with 40- to 100-bit coefficients paid only from 6 to 9 terms
+# on, so those keep the threshold of 10 they had before (see CHANGES.md).
 _KRONECKER_MIN_TERMS = 5
+_KRONECKER_WIDE_MIN_TERMS = 10
 
 
 def _schoolbook_mul(a, b, zero):
@@ -461,14 +465,18 @@ def _unpack(value: int, n: int, width: int) -> list:
     ]
 
 
-def _kronecker_mul(a, b):
+def _kronecker_mul(a, b, words_only=False):
     """Integer coefficient product by Kronecker substitution: evaluate both
     at 2**(8*width), multiply once, and read the product's coefficients
     back (_unpack).  Every product coefficient is at most bound in absolute
     value, and width = _width(bound.bit_length()), 1, 2, 4 or 8 bytes when
-    those suffice: each coefficient fits its slot."""
+    those suffice: each coefficient fits its slot.  With words_only, a
+    product whose slots would be wider than 8 bytes goes by schoolbook
+    instead."""
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = _width(bound.bit_length())
+    if words_only and width > 8:
+        return _schoolbook_mul(a, b, 0)
     pa = _pack(a, width)
     c = pa * pa if a is b else pa * _pack(b, width)
     return _unpack(c, len(a) + len(b) - 1, width)

@@ -606,6 +606,7 @@ class _Reducer:
         products = self.products
         while len(nums) > 1:
             deg = len(nums) - 1
+            # the dict itself on a hit, saving a method call per step
             got = products[deg] if deg in products else self._memo(deg)
             if got is None:
                 break
@@ -635,11 +636,13 @@ class _Reducer:
         the canonical(deg, implicit) product, plus the constant rest if
         given: an expression of u - remainder, or of u itself when rest is
         u's constant remainder.  With an implicit equation every product is
-        canonical, so the sum is too."""
+        canonical, so the sum is too.  The steps come from this reducer's
+        reduce(), which built the memo entry of each step's degree; each
+        expression is read from its entry, and canonical() called only
+        when it is not built yet, which saves two method calls per step."""
         products = self.products
         terms = []
         for deg, top, d in steps:
-            # reduce built the memo entry of every step's degree
             expr = products[deg][4]
             terms.append((top, d, self.canonical(deg, implicit) if expr is None else expr))
         if rest is not None and rest.nums:

@@ -22,6 +22,7 @@ from amoh import (
 )
 from amoh.field_poly import (
     _KRONECKER_MIN_TERMS,
+    _KRONECKER_WIDE_MIN_TERMS,
     _kronecker_mul,
     _pack,
     _schoolbook_mul,
@@ -230,12 +231,20 @@ def _coeff_lists(max_size):
     return st.lists(_COEFF, max_size=max_size).map(_strip)
 
 
+# Operand lengths of the products below: 30 terms (20 and 10 for divmod's
+# dividend and divisor), or more if the Kronecker thresholds rise past
+# them, so that lowering a threshold never shortens what is tested.
+_MUL_TERMS = max(30, 3 * _KRONECKER_WIDE_MIN_TERMS)
+_DIVIDEND_TERMS = max(20, 2 * _KRONECKER_WIDE_MIN_TERMS)
+_DIVISOR_TERMS = max(10, _KRONECKER_WIDE_MIN_TERMS)
+
+
 class TestIntegerCore:
     """The integer numerators over one denominator against plain Fraction
     arithmetic."""
 
     @settings(deadline=None, max_examples=80)
-    @given(_coeff_lists(3 * _KRONECKER_MIN_TERMS), _coeff_lists(3 * _KRONECKER_MIN_TERMS))
+    @given(_coeff_lists(_MUL_TERMS), _coeff_lists(_MUL_TERMS))
     def test_mul_add_sub(self, a, b):
         pa, pb = Poly(a), Poly(b)
         assert list((pa * pb).coeffs) == _ref_mul(a, b)
@@ -246,8 +255,8 @@ class TestIntegerCore:
 
     @settings(deadline=None, max_examples=60)
     @given(
-        st.integers(1, 3 * _KRONECKER_MIN_TERMS),
-        st.integers(1, 3 * _KRONECKER_MIN_TERMS),
+        st.integers(1, _MUL_TERMS),
+        st.integers(1, _MUL_TERMS),
         st.integers(1, 400),
         st.randoms(use_true_random=False),
     )
@@ -266,7 +275,7 @@ class TestIntegerCore:
     def test_monomial_products(self, c):
         # a monomial factor shifts and scales the other one
         others = [[Fraction(5)], [0, 0, Fraction(-1, 3)], [1, 0, Fraction(2, 9), 0, -4]]
-        others.append([Fraction(k - 7, k % 4 + 1) for k in range(3 * _KRONECKER_MIN_TERMS)])
+        others.append([Fraction(k - 7, k % 4 + 1) for k in range(_MUL_TERMS)])
         for d in range(4):
             mono = [0] * d + [c]
             for other in others:
@@ -285,7 +294,7 @@ class TestIntegerCore:
                 assert _kronecker_mul(a, [m] * n) == [-x for x in want]
 
     @settings(deadline=None, max_examples=80)
-    @given(_coeff_lists(2 * _KRONECKER_MIN_TERMS), _coeff_lists(_KRONECKER_MIN_TERMS))
+    @given(_coeff_lists(_DIVIDEND_TERMS), _coeff_lists(_DIVISOR_TERMS))
     def test_divmod(self, a, b):
         if not b:
             return
@@ -909,6 +918,30 @@ class TestMachineWordSlots:
             b = [rng.choice((m, -m, 0)) for _ in range(n + 4)] + [m]
             assert _kronecker_mul(a, b) == _schoolbook_mul(a, b, 0)
             assert _kronecker_mul(a, a) == _schoolbook_mul(a, a, 0)
+
+    @pytest.mark.parametrize("c", [3, -(2**20), 2**31, 2**40, -(2**70), 2**200])
+    def test_product_threshold_follows_the_slot_width(self, c, monkeypatch):
+        # Poly products go by Kronecker from _KRONECKER_MIN_TERMS nonzero
+        # terms in the shorter operand when the slots are 1 to 8 bytes,
+        # and from _KRONECKER_WIDE_MIN_TERMS when they are wider
+        schoolbook = []
+
+        def counting(a, b, zero):
+            schoolbook.append(len(a))
+            return _schoolbook_mul(a, b, zero)
+
+        for n in range(2, _KRONECKER_WIDE_MIN_TERMS + 3):
+            a = [c, 0] * (n - 1) + [c]
+            b = [-c + k for k in range(2 * n + 1)]
+            want = _schoolbook_mul(a, b, 0)
+            wide = _width((max(map(abs, a)) * max(map(abs, b)) * len(a)).bit_length()) > 8
+            monkeypatch.setattr("amoh.field_poly._schoolbook_mul", counting)
+            schoolbook.clear()
+            got = (Poly(a) * Poly(b)).nums, (Poly(b) * Poly(a)).nums
+            monkeypatch.undo()
+            assert got == (tuple(want), tuple(want))
+            by_schoolbook = n < (_KRONECKER_WIDE_MIN_TERMS if wide else _KRONECKER_MIN_TERMS)
+            assert len(schoolbook) == (2 if by_schoolbook else 0)
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
     def test_evaluates_to_refuses_a_coefficient_just_past_the_slot(self, width):
