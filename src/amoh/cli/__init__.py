@@ -9,12 +9,14 @@ scalars serialize as exact rational strings.
 Exit status: 0 when a result was computed, even a negative verdict;
 1 on usage, parse, or domain errors; 2 when an internal cross-check
 failed, which is a bug worth reporting.
+
+`import amoh` loads this module for parse_poly and render_poly, so it
+does only library work at import: argparse and json load when a command
+runs, and the tokenizer's pattern compiles on the first parse.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import re
@@ -56,13 +58,14 @@ MAX_PAREN_DEPTH = 200
 
 # Only ASCII digits and letters: str.isdigit accepts characters like
 # superscript two that int() then rejects.  Whitespace is what str.isspace
-# accepts; any other character is a token of its own and an error.
-_TOKEN = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S)")
+# accepts; any other character is a token of its own and an error.  re's
+# own cache compiles the pattern on the first parse.
+_TOKEN = r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*^()/])|(\S)"
 
 
 def _tokenize(text: str):
     out = []
-    for match in _TOKEN.finditer(text):
+    for match in re.finditer(_TOKEN, text):
         num, name, sym, other = match.groups()
         i = match.start()
         if num:
@@ -341,6 +344,13 @@ def _record_obj(record, drop_none=False):
     }
 
 
+def _dumps(obj) -> str:
+    """One JSON line; json loads on the first one a command writes."""
+    import json
+
+    return json.dumps(obj)
+
+
 def _tuple_str(xs) -> str:
     return "(" + ", ".join(str(x) for x in xs) + ")"
 
@@ -373,6 +383,17 @@ def _member_obj(res):
     return _record_obj(res, drop_none=True)
 
 
+def _stdin_lines():
+    """The lines of stdin.  A closed or undecodable stdin raises an
+    OSError that names stdin, which main reports as an unreadable one."""
+    if sys.stdin is None:
+        raise OSError("cannot read stdin: it is closed")
+    try:
+        yield from sys.stdin
+    except UnicodeDecodeError as exc:
+        raise OSError(f"cannot read stdin: {exc}") from None
+
+
 def _cmd_member(args, f, g):
     if args.u != "-":
         res = is_member(parse_poly(args.u), f, g)
@@ -383,7 +404,7 @@ def _cmd_member(args, f, g):
         return _member_obj(res), lines
     # batch: one query polynomial per line, blank lines skipped
     status = 0
-    for raw in sys.stdin:
+    for raw in _stdin_lines():
         text = raw.strip()
         if not text:
             continue
@@ -392,12 +413,12 @@ def _cmd_member(args, f, g):
         except ParseError as exc:
             status = 1
             if args.json:
-                answer = json.dumps({"u": text, "error": str(exc)})
+                answer = _dumps({"u": text, "error": str(exc)})
             else:
                 answer = f"{text}: error: {exc}"
         else:
             if args.json:
-                answer = json.dumps({"u": text, **_member_obj(res)})
+                answer = _dumps({"u": text, **_member_obj(res)})
             else:
                 answer = f"{text}: {'member' if res.member else 'not a member'}"
         # flushed per answer, so a client can wait for it before writing on
@@ -559,7 +580,7 @@ def _cmd_gen_corpus(args) -> int:
     if args.count < 0:
         raise PreconditionViolated(f"--count must be nonnegative, got {args.count}")
     records = (
-        json.dumps({"kind": kind, "f": render_poly(f), "g": render_poly(g)}) + "\n"
+        _dumps({"kind": kind, "f": render_poly(f), "g": render_poly(g)}) + "\n"
         for kind, f, g in corpus_pairs(args.count, args.seed)
     )
     if args.out == "-":
@@ -611,6 +632,8 @@ _VALUE_FLAGS = frozenset({"--f", "--g"}.union(*(spec[3] for spec in _COMMANDS.va
 
 
 def _command_parser(name: str) -> argparse.ArgumentParser:
+    import argparse
+
     help_text, _, kind, options = _COMMANDS[name]
     p = argparse.ArgumentParser(prog=f"amoh {name}", description=help_text)
     if kind is not None:
@@ -647,7 +670,7 @@ def main(argv=None) -> int:
 
     def fail(status, message):
         if as_json:
-            print(json.dumps({"error": message}))
+            print(_dumps({"error": message}))
         else:
             print(f"error: {message}", file=sys.stderr)
         return status
@@ -697,7 +720,7 @@ def main(argv=None) -> int:
         return out
     obj, lines = out
     if as_json:
-        print(json.dumps(obj))
+        print(_dumps(obj))
     else:
         for line in lines:
             print(line)
@@ -708,7 +731,11 @@ def run() -> None:
     """Entry point: exit with main()'s status.  A reader that closes the
     pipe early (`amoh ... | head -n 1`) ends the run with status 1 and no
     traceback; stdout then points at devnull, so that the interpreter's
-    last flush does not fail again (the recipe of Python's signal docs)."""
+    last flush does not fail again (the recipe of Python's signal docs).
+    A stdout closed at start (`amoh ... >&-`) ends the run the same way
+    before any work, since no answer could reach a reader."""
+    if sys.stdout is None:
+        sys.exit(1)
     try:
         status = main()
         sys.stdout.flush()

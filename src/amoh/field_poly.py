@@ -920,10 +920,10 @@ class BivarExpr:
         ld_in, ld_out = _clog2(d_in), _clog2(d_out)
         k_in, k_out = l_in - ld_in, l_out - ld_out
         top = max([c.bit_length() + e * k_in + r * k_out for e, r, c in terms])
-        # every coefficient of N, and of F and G, is at most 2**bits
-        # (c.bit_length() >= _clog2(abs(c))), below 2**(bits + 1)
-        bits = max(top + a_in * ld_in + a_out * ld_out + _clog2(len(terms)), l_in, l_out)
-        width = _width(bits + 1)
+        # every coefficient of N is below 2**bits, as abs(c) < 2**c.bit_length();
+        # those of F and G are at most 2**l, so below 2**(l + 1)
+        bits = top + a_in * ld_in + a_out * ld_out + _clog2(len(terms))
+        width = _width(max(bits, l_in + 1, l_out + 1))
         if d_in != 1 or d_out != 1:
             terms = [(e, r, c * d_in ** (a_in - e) * d_out ** (a_out - r)) for e, r, c in terms]
         value = _short_axis(terms, _pack(inner.nums, width), _pack(outer.nums, width), 1)

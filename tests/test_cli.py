@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoh import ParseError, Poly, parse_poly, render_poly
-from amoh.cli import _COMMANDS, _command_parser, _fuse_leading_minus, corpus_pairs, main
+from amoh.cli import _COMMANDS, _command_parser, _fuse_leading_minus, corpus_pairs, main, run
 
 from conftest import Z, const
 
@@ -441,6 +441,31 @@ class TestBatchMember:
         assert lines[0]["member"] is True
         assert "error" in lines[1]
 
+    @pytest.mark.parametrize("as_json", [True, False])
+    def test_undecodable_stdin_is_an_error_naming_it(self, capsys, monkeypatch, as_json):
+        # blank lines push the bad byte past the stream's first chunk, so
+        # the first answer is printed before the error
+        raw = b"z^2\n" + b"\n" * 65536 + b"\xff\n"
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        argv = ["member", "--u", "-", "--f", "z^2", "--g", "z^3"] + ["--json"] * as_json
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1
+        message = "cannot read stdin: 'utf-8' codec can't decode byte 0xff"
+        if as_json:
+            first, error = [json.loads(line) for line in out.splitlines()]
+            assert first["u"] == "z^2" and first["member"] is True
+            assert list(error) == ["error"] and error["error"].startswith(message)
+            assert err == ""
+        else:
+            assert out == "z^2: member\n"
+            assert err.startswith("error: " + message) and err.count("\n") == 1
+
+    def test_closed_stdin_is_an_error_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        assert run_cli(
+            capsys, "member", "--u", "-", "--f", "z^2", "--g", "z^3", "--json"
+        ) == (1, '{"error": "cannot read stdin: it is closed"}\n', "")
+
 
 class TestGenCorpus:
     def test_deterministic_and_parseable(self, tmp_path):
@@ -627,6 +652,33 @@ class TestImportCost:
         assert "dataclasses" not in added
         assert "inspect" not in added
 
+    def test_import_amoh_loads_no_cli_machinery(self):
+        # argparse (with gettext) and json load only when a command runs;
+        # compared with the modules loaded before, as above
+        code = "\n".join([
+            "import sys",
+            "before = set(sys.modules)",
+            "import amoh",
+            "print(*sorted(set(sys.modules) - before))",
+            "print(amoh.render_poly(amoh.parse_poly('z^2 + 1')))",
+            "amoh.cli.main(['member', '--u', 'z^5', '--f', 'z^3', '--g', 'z^6 + z^2', '--json'])",
+            "print('argparse' in sys.modules, 'json' in sys.modules)",
+        ])
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        added, parsed, answer, loaded_after = proc.stdout.splitlines()
+        assert "amoh.cli" in added.split()
+        assert not {"argparse", "gettext", "json"} & set(added.split())
+        assert parsed == "z^2 + 1"
+        assert answer == (
+            '{"member": true, "certificate": [{"i": 1, "j": 1, "coeff": "1"}, '
+            '{"i": 3, "j": 0, "coeff": "-1"}]}'
+        )
+        assert loaded_after == "True True"
+
 
 class TestEnvironmentCap:
     def test_iteration_cap_env(self):
@@ -693,6 +745,14 @@ class TestEnvironmentCap:
         assert b"Traceback" not in err
         assert json.loads(out) == {"error": "[Errno 32] Broken pipe"}
         assert proc.returncode == 1
+
+    def test_closed_stdout_ends_the_run_quietly(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["amoh", "is-line", "--f", "z", "--g", "z^2", "--json"])
+        monkeypatch.setattr("sys.stdout", None)
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 1
+        assert capsys.readouterr().err == ""
 
     def test_module_runs_without_warnings(self):
         proc = subprocess.run(

@@ -943,6 +943,34 @@ class TestMachineWordSlots:
             by_schoolbook = n < (_KRONECKER_WIDE_MIN_TERMS if wide else _KRONECKER_MIN_TERMS)
             assert len(schoolbook) == (2 if by_schoolbook else 0)
 
+    @pytest.mark.parametrize("c, width", [(2**30, 4), (2**62, 8)])
+    def test_packed_width_keeps_no_spare_bit(self, c, width):
+        # c*X at f = z: N's one coefficient c is below 2**c.bit_length(),
+        # so a bit length of 31 or 63 takes a 4- or 8-byte slot
+        _, _, got, _ = BivarExpr({(1, 0): Fraction(c)})._packed(Z, Z)
+        assert got == width
+
+    @pytest.mark.parametrize("c", [2**31, -(2**31), 2**63, -(2**63)])
+    def test_coefficient_one_past_the_signed_slot(self, c):
+        # +2**31 fits no signed 4-byte slot and +2**63 no 8-byte one, so a
+        # bound one bit short of c.bit_length() reads them back wrong
+        terms = {(1, 0): Fraction(c)}
+        e = BivarExpr(terms)
+        value = e.eval(Z, Z)
+        assert value == _bref_eval(terms, Z, Z) == Z.scale(c)
+        assert e._evaluates_to(Z, Z, Z.scale(c))
+        for wrong in (Z.scale(-c), Z.scale(c + 1), Z.scale(c) + const(1)):
+            assert not e._evaluates_to(Z, Z, wrong)
+
+    @pytest.mark.parametrize("s", [7, 15, 31, 63])
+    def test_generator_coefficient_one_past_the_signed_slot(self, s):
+        # a constant expression keeps N tiny, yet f and g are packed too,
+        # and 2**s fits no signed slot of s + 1 bits
+        e = BivarExpr({(0, 0): Fraction(3)})
+        for f, g in ((Z.scale(2**s), Z), (Z, Z.scale(2**s))):
+            assert e.eval(f, g) == const(3)
+            assert e._evaluates_to(f, g, const(3))
+
     @pytest.mark.parametrize("width", [1, 2, 4, 8, 9])
     def test_evaluates_to_refuses_a_coefficient_just_past_the_slot(self, width):
         # f = 2^s z + 1, g = z^2 and X + Y/3: find s whose packed width is
