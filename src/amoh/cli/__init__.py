@@ -13,10 +13,19 @@ failed, which is a bug worth reporting.
 `import amoh` loads this module for parse_poly and render_poly, so it
 does only library work at import: argparse and json load when a command
 runs, and the tokenizer's pattern compiles on the first parse.
+
+`member --u -` decodes stdin one line at a time, so every line before an
+undecodable one is answered before the error.  A stdout that cannot be
+written (`> /dev/full`) ends the run with status 1 and one line on stderr,
+`error: cannot write stdout: ...`.  The `amoh` command (run) ends its
+process once its answers are flushed and the atexit handlers have run,
+without tearing the interpreter down; main is the in-process API and
+returns the status instead.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 import os
 import re
@@ -344,6 +353,25 @@ def _record_obj(record, drop_none=False):
     }
 
 
+class _StdoutError(OSError):
+    """Writing stdout failed other than by a closed pipe; run() reports it."""
+
+
+def _emit(lines, flush=False) -> None:
+    """Write each line and a newline to stdout.  An OSError there is raised
+    as a _StdoutError, so that main does not take it for an unreadable
+    stdin or an unwritable --out and report it on stdout again."""
+    try:
+        for line in lines:
+            sys.stdout.write(line + "\n")
+        if flush:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise _StdoutError(*exc.args) from None
+
+
 def _dumps(obj) -> str:
     """One JSON line; json loads on the first one a command writes."""
     import json
@@ -384,12 +412,23 @@ def _member_obj(res):
 
 
 def _stdin_lines():
-    """The lines of stdin.  A closed or undecodable stdin raises an
-    OSError that names stdin, which main reports as an unreadable one."""
-    if sys.stdin is None:
+    """The lines of stdin, each decoded as it arrives: a text stream
+    decodes a whole read-sized chunk, so an undecodable line would lose the
+    lines before it.  A stream without bytes beneath it (io.StringIO) is
+    read as text.  A closed or undecodable stdin raises an OSError that
+    names stdin, which main reports as an unreadable one."""
+    stdin = sys.stdin
+    if stdin is None:
         raise OSError("cannot read stdin: it is closed")
+    raw = getattr(stdin, "buffer", None)
     try:
-        yield from sys.stdin
+        if raw is None:
+            yield from stdin
+            return
+        decoder = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors)
+        for line in raw:
+            yield decoder.decode(line)
+        yield decoder.decode(b"", True)
     except UnicodeDecodeError as exc:
         raise OSError(f"cannot read stdin: {exc}") from None
 
@@ -422,7 +461,7 @@ def _cmd_member(args, f, g):
             else:
                 answer = f"{text}: {'member' if res.member else 'not a member'}"
         # flushed per answer, so a client can wait for it before writing on
-        print(answer, flush=True)
+        _emit([answer], flush=True)
     return status
 
 
@@ -580,15 +619,15 @@ def _cmd_gen_corpus(args) -> int:
     if args.count < 0:
         raise PreconditionViolated(f"--count must be nonnegative, got {args.count}")
     records = (
-        _dumps({"kind": kind, "f": render_poly(f), "g": render_poly(g)}) + "\n"
+        _dumps({"kind": kind, "f": render_poly(f), "g": render_poly(g)})
         for kind, f, g in corpus_pairs(args.count, args.seed)
     )
     if args.out == "-":
-        sys.stdout.writelines(records)
+        _emit(records)
         return 0
     try:
         with open(args.out, "w", encoding="utf-8") as sink:
-            sink.writelines(records)
+            sink.writelines(record + "\n" for record in records)
     except BrokenPipeError as exc:
         # a reader of --out that goes away makes --out unwritable, an error
         # main reports; only a closed stdout ends the run quietly (run())
@@ -670,15 +709,16 @@ def main(argv=None) -> int:
 
     def fail(status, message):
         if as_json:
-            print(_dumps({"error": message}))
+            _emit([_dumps({"error": message})])
         else:
             print(f"error: {message}", file=sys.stderr)
         return status
 
     if command in ("-h", "--help"):
-        print("usage: amoh <command> [options]; amoh <command> --help lists them\n")
-        for name, spec in _COMMANDS.items():
-            print(f"  {name:<15} {spec[0]}")
+        _emit([
+            "usage: amoh <command> [options]; amoh <command> --help lists them\n",
+            *(f"  {name:<15} {spec[0]}" for name, spec in _COMMANDS.items()),
+        ])
         return 0
     if command not in _COMMANDS:
         given = "no command" if command is None else f"unknown command {command!r}"
@@ -709,9 +749,10 @@ def main(argv=None) -> int:
         return fail(2, str(exc))
     except (MemoryError, RecursionError) as exc:
         return fail(2, str(exc) or type(exc).__name__)
-    except BrokenPipeError:
-        # only stdout's reader can be gone here (a broken --out arrives as
-        # a plain OSError), so there is no one to tell: run() exits quietly
+    except (BrokenPipeError, _StdoutError):
+        # stdout's own failures, which run() ends the run on: a reader that
+        # is gone (a broken --out arrives as a plain OSError) has no one to
+        # tell, any other is reported on stderr
         raise
     except (AmohError, OSError) as exc:
         # OSError: unreadable stdin or an unwritable --out path
@@ -719,27 +760,39 @@ def main(argv=None) -> int:
     if isinstance(out, int):
         return out
     obj, lines = out
-    if as_json:
-        print(_dumps(obj))
-    else:
-        for line in lines:
-            print(line)
+    _emit([_dumps(obj)] if as_json else lines)
     return 0
 
 
 def run() -> None:
-    """Entry point: exit with main()'s status.  A reader that closes the
-    pipe early (`amoh ... | head -n 1`) ends the run with status 1 and no
+    """Entry point: end the process with main()'s status.
+
+    Once stdout is flushed and the atexit handlers have run, the process
+    ends with os._exit: tearing the interpreter down would only free what
+    the exit frees anyway.  A stdout that cannot be written ends the run
+    with status 1 and one line on stderr.  A reader that closes the pipe
+    early (`amoh ... | head -n 1`) ends the run with status 1 and no
     traceback; stdout then points at devnull, so that the interpreter's
     last flush does not fail again (the recipe of Python's signal docs).
     A stdout closed at start (`amoh ... >&-`) ends the run the same way
     before any work, since no answer could reach a reader."""
+    import atexit  # here, as 3.10 and 3.13 do not load it at start-up
+
     if sys.stdout is None:
         sys.exit(1)
+    streams = (sys.stdout, sys.stderr)
     try:
         status = main()
-        sys.stdout.flush()
+        _emit((), flush=True)
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         sys.exit(1)
-    sys.exit(status)
+    except _StdoutError as exc:
+        # the answers left in stdout's buffer are dropped with the process
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        status, streams = 1, (sys.stderr,)
+    atexit._run_exitfuncs()
+    for stream in streams:
+        if stream is not None:
+            stream.flush()
+    os._exit(status or 0)

@@ -460,6 +460,33 @@ class TestBatchMember:
             assert out == "z^2: member\n"
             assert err.startswith("error: " + message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("as_json", [True, False])
+    @pytest.mark.parametrize(
+        "raw, reason",
+        [
+            (b"z^2\n\xff\n", "byte 0xff in position 0: invalid start byte"),
+            (b"z^2\n\xc3", "byte 0xc3 in position 0: unexpected end of data"),
+        ],
+    )
+    def test_lines_before_an_undecodable_one_are_answered(
+        self, capsys, monkeypatch, raw, reason, as_json
+    ):
+        # stdin is decoded line by line, so the bad byte may share the
+        # stream's first chunk with the line before it
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+        argv = ["member", "--u", "-", "--f", "z^2", "--g", "z^3"] + ["--json"] * as_json
+        status, out, err = run_cli(capsys, *argv)
+        assert status == 1
+        message = f"cannot read stdin: 'utf-8' codec can't decode {reason}"
+        if as_json:
+            assert out.splitlines() == [
+                '{"u": "z^2", "member": true, "certificate": [{"i": 1, "j": 0, "coeff": "1"}]}',
+                json.dumps({"error": message}),
+            ]
+            assert err == ""
+        else:
+            assert (out, err) == ("z^2: member\n", f"error: {message}\n")
+
     def test_closed_stdin_is_an_error_naming_it(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", None)
         assert run_cli(
@@ -771,3 +798,105 @@ class TestEnvironmentCap:
         )
         assert proc.returncode == 0
         assert "line: yes" in proc.stdout
+
+
+def buffered_env(**extra):
+    """The environment with block-buffered standard streams, as a user
+    gets them on a pipe or a file, plus the extra variables."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return dict(env, **extra)
+
+
+def amoh_process(*argv, env=None, **kwargs):
+    """Run the amoh command as its own process, with text output."""
+    return subprocess.run(
+        [sys.executable, "-m", "amoh.cli", *argv],
+        capture_output=True, text=True, env=env or buffered_env(), **kwargs,
+    )
+
+
+class TestProcessExit:
+    # run() ends the process with os._exit once stdout is flushed and the
+    # atexit handlers have run; these check what a caller of the process sees
+
+    def test_atexit_handlers_run(self):
+        code = (
+            "import atexit, sys\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "sys.argv[1:] = ['is-line', '--f', 'z', '--g', 'z^2']\n"
+            "from amoh.cli import run\n"
+            "run()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=buffered_env()
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "line: yes\ninverse: X\natexit ran\n"
+
+    @pytest.mark.parametrize(
+        "argv, env, status",
+        [
+            (["is-line", "--f", "z", "--g", "z^2"], {}, 0),
+            (["is-line", "--f", "2z", "--g", "z"], {}, 1),
+            (["sagbi", "--f", "z^6", "--g", "z^8 + z^7"], {"AMOH_ITER_CAP": "2"}, 2),
+        ],
+    )
+    def test_exit_status(self, argv, env, status):
+        proc = amoh_process(*argv, env=buffered_env(**env))
+        assert proc.returncode == status
+        assert "Traceback" not in proc.stderr
+
+    def test_large_output_arrives_whole(self, tmp_path):
+        # over 300 KB, many times what a pipe or stdout's buffer holds
+        proc = amoh_process("gen-corpus", "--count", "3000")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3000 and json.loads(lines[-1])["kind"] == "pattern"
+        out = tmp_path / "corpus.jsonl"
+        proc = amoh_process("gen-corpus", "--count", "3000", "--out", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+        assert out.read_text(encoding="utf-8").splitlines() == lines
+
+    def test_every_batch_query_is_answered(self):
+        queries = ["z^5", "z", "z^6 + z^2", "2z", "z^9", "z^4 + z"]
+        proc = amoh_process(
+            "member", "--u", "-", "--f", "z^3", "--g", "z^6 + z^2", "--json",
+            input="\n".join(queries) + "\n",
+        )
+        assert proc.returncode == 1 and proc.stderr == ""
+        answers = [json.loads(line) for line in proc.stdout.splitlines()]
+        assert [a["u"] for a in answers] == queries
+        assert [a.get("member") for a in answers] == [True, False, True, None, True, False]
+
+    def test_main_returns_in_process(self):
+        code = (
+            "from amoh.cli import main\n"
+            "status = main(['is-line', '--f', 'z', '--g', 'z^2', '--json'])\n"
+            "print('returned', status)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "returned 0"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestUnwritableStdout:
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["is-line", "--f", "z", "--g", "z^2", "--json"], None),
+            (["gen-corpus", "--count", "50"], None),
+            (["member", "--u", "-", "--f", "z^3", "--g", "z^6 + z^2"], "z^5\nz\n"),
+        ],
+    )
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_one_error_line_and_status_one(self, argv, stdin, unbuffered):
+        # buffered, the write fails when run() flushes; unbuffered, in main
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "amoh.cli", *argv],
+                input=stdin, stdout=full, stderr=subprocess.PIPE, text=True,
+                env=buffered_env(PYTHONUNBUFFERED=unbuffered),
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: cannot write stdout: [Errno 28] No space left on device\n"
