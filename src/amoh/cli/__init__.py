@@ -11,8 +11,11 @@ Exit status: 0 when a result was computed, even a negative verdict;
 failed, which is a bug worth reporting.
 
 `import amoh` loads this module for parse_poly and render_poly, so it
-does only library work at import: argparse and json load when a command
-runs, and the tokenizer's pattern compiles on the first parse.
+does only library work at import: the tokenizer's pattern compiles on the
+first parse.  A command loads neither argparse nor json: _scan reads the
+options from _COMMANDS as argparse did, with its error messages, and
+_dumps writes what json.dumps would.  Usage errors and help therefore read
+the same on every Python version.
 
 `member --u -` decodes stdin one line at a time, so every line before an
 undecodable one is answered before the error.  A stdout that cannot be
@@ -31,6 +34,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from ..decompose import common_parameter
 from ..errors import (
@@ -372,11 +376,39 @@ def _emit(lines, flush=False) -> None:
         raise _StdoutError(*exc.args) from None
 
 
-def _dumps(obj) -> str:
-    """One JSON line; json loads on the first one a command writes."""
-    import json
+class _Escapes(dict):
+    """The str.translate table of json.dumps's ASCII escapes: printable ASCII
+    stays, the rest is written as \\uXXXX, as a surrogate pair above the
+    BMP."""
 
-    return json.dumps(obj)
+    def __missing__(self, n):
+        if n < 0x10000:
+            return f"\\u{n:04x}"
+        n -= 0x10000
+        return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+_ESCAPES = _Escapes({n: chr(n) for n in range(0x20, 0x7F)})
+_ESCAPES.update({0x22: '\\"', 0x5C: "\\\\", 8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r"})
+
+
+def _dumps(obj) -> str:
+    """obj as json.dumps(obj) writes it, for dicts with str keys, lists,
+    tuples, str, int, bool and None; any other type is a TypeError."""
+    if isinstance(obj, str):
+        return '"' + obj.translate(_ESCAPES) + '"'
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_dumps, obj)) + "]"
+    if isinstance(obj, dict):
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+        return "{" + ", ".join(f"{_dumps(k)}: {_dumps(v)}" for k, v in obj.items()) + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _tuple_str(xs) -> str:
@@ -642,6 +674,7 @@ def _cmd_gen_corpus(args) -> int:
 # says how main parses --f and --g: "z" as curves through parse_poly,
 # "x, y" as plane maps through _parse_plane, None for no inputs.  main looks the
 # parsers up by name, so a wrapper installed on the module sees every parse.
+# An option's spec may say required, type=int, a default and its help.
 _COMMANDS = {
     "is-line": ("decide whether (f, g) is an embedded line", _cmd_is_line, "z", {}),
     "member": ("test u for membership in k[f, g]", _cmd_member, "z", {
@@ -670,42 +703,149 @@ _COMMANDS = {
 _VALUE_FLAGS = frozenset({"--f", "--g"}.union(*(spec[3] for spec in _COMMANDS.values())))
 
 
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    import argparse
+def _options(name: str) -> dict:
+    """The flags of a command in the order of its help, each with its spec
+    from _COMMANDS; --json is the one switch."""
+    _, _, kind, extra = _COMMANDS[name]
+    if kind is None:
+        return extra
+    what = f"{'generator' if kind == 'z' else 'map component'}, a polynomial in {kind}"
+    return {
+        "--f": dict(required=True, help=f"first {what}"),
+        "--g": dict(required=True, help=f"second {what}"),
+        "--json": dict(switch=True, help="machine-readable output"),
+        **extra,
+    }
 
-    help_text, _, kind, options = _COMMANDS[name]
-    p = argparse.ArgumentParser(prog=f"amoh {name}", description=help_text)
-    if kind is not None:
-        what = f"{'generator' if kind == 'z' else 'map component'}, a polynomial in {kind}"
-        p.add_argument("--f", required=True, help=f"first {what}")
-        p.add_argument("--g", required=True, help=f"second {what}")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-    for flag, spec in options.items():
-        p.add_argument(flag, **spec)
-    return p
+
+def _help_lines(name: str):
+    """The usage line, description and options of a command, as help."""
+    rows = [("-h, --help", "show this help message and exit")]
+    usage = f"usage: amoh {name} [-h]"
+    for flag, spec in _options(name).items():
+        shown = flag if spec.get("switch") else f"{flag} {flag[2:].upper()}"
+        usage += f" {shown}" if spec.get("required") else f" [{shown}]"
+        rows.append((shown, spec["help"]))
+    width = max(len(shown) for shown, _ in rows)
+    return [usage, "", _COMMANDS[name][0], "", "options:",
+            *(f"  {shown:<{width}}  {text}" for shown, text in rows)]
 
 
-def _fuse_leading_minus(argv):
-    """Rewrite `--f -2*z` as `--f=-2*z` so argparse does not mistake a
-    polynomial with a negative leading coefficient for an option.  A bare
-    `-` (stdin marker) is left alone.
-    """
-    out = []
-    for tok in argv:
-        if out and out[-1] in _VALUE_FLAGS and tok.startswith("-") and tok != "-":
-            out[-1] += "=" + tok
+class _UsageError(Exception):
+    """A command line that does not fit its command's options."""
+
+
+def _scan(name: str, tokens):
+    """The options of a command from the tokens after its name, or None
+    when they ask for help.
+
+    The reading is argparse's: a flag may be cut to a unique prefix
+    (`--js`), `--flag=value` gives the value in the flag's token and the
+    last of repeated flags wins.  Without `=` a value flag takes the next
+    token that is not an option; a token that starts with - is one, unless
+    it is -, looks like a negative number or has a space in it.  `--` is
+    no value and no token after it is an option, so, as no command takes
+    bare values, `--` and what follows are unrecognized.  The errors are
+    argparse's, word for word."""
+    options = _options(name)
+    flags = ["-h", "--help", *options]
+    # each token as (flag, value given with =), as (None, None) for an
+    # unknown option or the first --, or as None for a value
+    found, after_dashes = [], False
+    for tok in tokens:
+        if after_dashes or tok[:1] != "-" or tok == "-":
+            found.append(None)
+            continue
+        head, eq, tail = tok.partition("=")
+        if tok == "--":
+            found.append((None, None))
+            after_dashes = True
+        elif tok in flags:
+            found.append((tok, None))
+        elif eq and head in flags:
+            found.append((head, tail))
+        elif tok[1] != "-":
+            if tok[1] == "h":
+                found.append(("-h", tok[2:]))
+            elif re.match(r"-\d+$|-\d*\.\d+$", tok) or " " in tok:
+                found.append(None)
+            else:
+                found.append((None, None))
         else:
-            out.append(tok)
-    return out
+            matches = [flag for flag in flags if flag.startswith(head)]
+            if len(matches) > 1:
+                raise _UsageError(f"ambiguous option: {tok} could match {', '.join(matches)}")
+            if matches:
+                found.append((matches[0], tail if eq else None))
+            else:
+                found.append(None if " " in tok else (None, None))
+    args = {
+        flag[2:]: False if spec.get("switch") else spec.get("default")
+        for flag, spec in options.items()
+    }
+    seen, extras, dashes = set(), [], None
+    i = 0
+    while i < len(tokens):
+        tok, kind = tokens[i], found[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            extras.append(tok)
+            continue
+        flag, value = kind
+        if flag in ("-h", "--help"):
+            # -hh is -h twice; a value given to help is an error
+            left = value.lstrip("h") if flag == "-h" and value else value
+            if left or value == "":
+                raise _UsageError(f"argument -h/--help: ignored explicit argument {left!r}")
+            return None
+        spec = options[flag]
+        seen.add(flag)
+        if spec.get("switch"):
+            if value is not None:
+                raise _UsageError(f"argument {flag}: ignored explicit argument {value!r}")
+            args[flag[2:]] = True
+            continue
+        if value is None:
+            if i == len(tokens) or found[i] is not None:
+                raise _UsageError(f"argument {flag}: expected one argument")
+            value = tokens[i]
+            i += 1
+        elif value == "--":
+            # `--f --` arrives as `--f=--`: a flag with no value
+            dashes = dashes or tok.partition("=")[0]
+            continue
+        if spec.get("type") is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _UsageError(f"argument {flag}: invalid int value: {value!r}") from None
+        args[flag[2:]] = value
+    missing = [flag for flag, spec in options.items() if spec.get("required") and flag not in seen]
+    if missing:
+        raise _UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    if dashes:
+        raise _UsageError(f"{dashes} needs a value, got --")
+    return SimpleNamespace(**args)
 
 
 def main(argv=None) -> int:
-    argv = _fuse_leading_minus(sys.argv[1:] if argv is None else argv)
-    command = argv[0] if argv else None
-    # The corpus is JSON lines, so its errors are JSON objects too.  Usage
-    # errors come before argparse has read --json, so this reads the tokens
-    # (argparse takes a prefix such as --js for --json too).
-    as_json = command == "gen-corpus" or any(len(t) > 2 and "--json".startswith(t) for t in argv)
+    # A value flag written out in full takes the next token whatever it
+    # is: `--f -2*z` reads as `--f=-2*z`.  A bare - (stdin) is a value anyway.
+    tokens = []
+    for tok in (sys.argv[1:] if argv is None else argv):
+        if tokens and tokens[-1] in _VALUE_FLAGS and tok[:1] == "-" and tok != "-":
+            tokens[-1] += "=" + tok
+        else:
+            tokens.append(tok)
+    command = tokens[0] if tokens else None
+    # The corpus is JSON lines, so its errors are JSON objects too.  A usage
+    # error can come before --json is read, so this reads the tokens (a
+    # prefix such as --js counts too).
+    as_json = command == "gen-corpus" or any(
+        len(t) > 2 and "--json".startswith(t) for t in tokens
+    )
 
     def fail(status, message):
         if as_json:
@@ -723,22 +863,14 @@ def main(argv=None) -> int:
     if command not in _COMMANDS:
         given = "no command" if command is None else f"unknown command {command!r}"
         return fail(1, f"{given}; choose from {', '.join(_COMMANDS)}")
-    parser = _command_parser(command)
-    # a usage error is reported like any other error, not as argparse's usage text
-    parser.error = lambda message: parser.exit(fail(1, message))
     try:
-        args = parser.parse_args(argv[1:])
-    except SystemExit as exc:
-        return exc.code
+        args = _scan(command, tokens[1:])
+    except _UsageError as exc:
+        return fail(1, str(exc))
+    if args is None:
+        _emit(_help_lines(command))
+        return 0
     _, handler, kind, _ = _COMMANDS[command]
-
-    # `--f --` reaches argparse as `--f=--`, which it reads as [] or as
-    # "--" depending on the Python version.  argparse also takes a unique
-    # prefix of a flag: `--ou=--` for `--out=--`.
-    for tok in argv:
-        flag, _, value = tok.partition("=")
-        if value == "--" and flag[:2] == "--" and any(f.startswith(flag) for f in _VALUE_FLAGS):
-            return fail(1, f"{flag} needs a value, got --")
     try:
         if kind is None:
             out = handler(args)

@@ -1,6 +1,5 @@
 """Front-end behavior: grammar, golden outputs, exit codes, totality."""
 
-import argparse
 import io
 import json
 import os
@@ -15,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amoh import ParseError, Poly, parse_poly, render_poly
-from amoh.cli import _COMMANDS, _command_parser, _fuse_leading_minus, corpus_pairs, main, run
+from amoh.cli import _COMMANDS, _dumps, corpus_pairs, main, run
 
 from conftest import Z, const
 
@@ -629,38 +628,191 @@ class TestCommandTable:
         assert name in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", list(_COMMANDS))
-    def test_values_may_start_with_minus(self, name):
-        _, _, kind, options = _COMMANDS[name]
+    def test_values_may_start_with_minus(self, monkeypatch, name):
+        help_text, _, kind, options = _COMMANDS[name]
+        seen = []
+
+        def handler(args, *inputs):
+            seen.append(args)
+            return 0
+
+        monkeypatch.setitem(_COMMANDS, name, (help_text, handler, kind, options))
         argv, expected = [], {}
         for flag in (["--f", "--g"] if kind else []) + list(options):
             if options.get(flag, {}).get("type") is int:
                 argv += [flag, "-3"]
                 expected[flag[2:]] = -3
             else:
-                argv += [flag, "-z"]
-                expected[flag[2:]] = "-z"
-        args = _command_parser(name).parse_args(_fuse_leading_minus(argv))
-        assert {key: getattr(args, key) for key in expected} == expected
+                value = "-z" if kind != "x, y" else "-x"
+                argv += [flag, value]
+                expected[flag[2:]] = value
+        assert main([name, *argv]) == 0
+        assert {key: getattr(seen[0], key) for key in expected} == expected
+
+    def test_commands_load_no_argparse_or_json(self):
+        # a run, a batch, a usage error and help, each through main in a
+        # fresh interpreter; compared with the modules loaded before, so a
+        # site hook that imports one of them does not count against amoh
+        code = "\n".join([
+            "import io, sys",
+            "before = set(sys.modules)",
+            "from amoh.cli import main",
+            "sys.stdin = io.StringIO('z^5\\nz\\n2z\\n')",
+            "main(['member', '--u', '-', '--f', 'z^3', '--g', 'z^6 + z^2', '--json'])",
+            "main(['is-line', '--f', 'z', '--g', 'z^2', '--json'])",
+            "main(['gen-corpus', '--count', '2'])",
+            "main(['sagbi', '--f', 'z', '--js'])",
+            "main(['represent', '--degree', 'abc', '--f', 'z', '--g', 'z^2'])",
+            "main(['strong-am', '--help'])",
+            "added = set(sys.modules) - before",
+            "print(*sorted(added & {'argparse', 'gettext', 'locale', 'json'}))",
+        ])
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.splitlines()[-1] == ""
+
+
+# (argv, exit status, stdout, stderr) of main, taken from the argparse-based
+# reading on CPython 3.11 that the option scanner reproduces
+USAGE_EDGES = [
+    (['member', '--f', 'z', '--g', 'z^2', '--', '--u', 'z^4'],
+     1, '', 'error: the following arguments are required: --u\n'),
+    (['member', '--f', 'z', '--g', 'z^2', '--json', '--', '--u', 'z^4'],
+     1, '{"error": "the following arguments are required: --u"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--json', '--', 'x'],
+     1, '{"error": "unrecognized arguments: -- x"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--', 'x'],
+     1, '', 'error: unrecognized arguments: -- x\n'),
+    (['strong-am', '--f', 'z^2', '--g', 'z^3', '--a', '--json'],
+     1, '', "error: argument --a: invalid int value: '--json'\n"),
+    (['strong-am', '--f', 'z^2', '--g', 'z^3', '--a', '-1'],
+     1, '', 'error: need 1 <= a <= min(2, 3), got -1\n'),
+    (['is-line', '--f', '-z', '--g', '--json'],
+     1, '', 'error: unexpected token at position 1 (expected number, variable, (, -)\n'),
+    (['is-line', '--f', '-z', '--g', '--json', '--json'],
+     1, '{"error": "unexpected token at position 1 (expected number, variable, (, -)"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--jso=x'],
+     1, '', "error: argument --json: ignored explicit argument 'x'\n"),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--json=x', '--js'],
+     1, '{"error": "argument --json: ignored explicit argument \'x\'"}\n', ''),
+    (['member', '--f', 'z^2', '--g', 'z^3', '--u'],
+     1, '', 'error: argument --u: expected one argument\n'),
+    (['member', '--f', 'z^2', '--g', 'z^3', '--json', '--u'],
+     1, '{"error": "argument --u: expected one argument"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--f', 'z'],
+     0, 'line: yes\ninverse: X\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--f', 'z', '--json'],
+     0, '{"is_line": true, "reason": {"kind": "CriterionHolds"}, "inverse": [{"i": 1, "j": 0, "coeff": "1"}]}\n', ''),
+    (['represent', '--d', '7', '--f', 'z^2', '--g', 'z^3'],
+     0, 'α = (1, 2) over δ = (3, 2)\n', ''),
+    (['represent', '--d', '7', '--f', 'z^2', '--g', 'z^3', '--json'],
+     0, '{"representable": true, "degree": 7, "alphas": [1, 2], "deltas": [3, 2]}\n', ''),
+    (['represent', '--degree', '1_0', '--f', 'z^2', '--g', 'z^3', '--json'],
+     0, '{"representable": true, "degree": 10, "alphas": [2, 2], "deltas": [3, 2]}\n', ''),
+    (['represent', '--degree', ' 3', '--f', 'z^2', '--g', 'z^3', '--json'],
+     0, '{"representable": true, "degree": 3, "alphas": [1, 0], "deltas": [3, 2]}\n', ''),
+    (['represent', '--degree', '+7', '--f', 'z^2', '--g', 'z^3', '--json'],
+     0, '{"representable": true, "degree": 7, "alphas": [1, 2], "deltas": [3, 2]}\n', ''),
+    (['represent', '--degree', '7.0', '--f', 'z^2', '--g', 'z^3', '--json'],
+     1, '{"error": "argument --degree: invalid int value: \'7.0\'"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', 'extra'],
+     1, '', 'error: unrecognized arguments: extra\n'),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '-x', '--json'],
+     1, '{"error": "unrecognized arguments: -x"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '-3'],
+     1, '', 'error: unrecognized arguments: -3\n'),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '-f', 'extra', '--js'],
+     1, '{"error": "unrecognized arguments: -f extra"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '--=x'],
+     1, '', 'error: ambiguous option: --=x could match --help, --f, --g, --json\n'),
+    (['gen-corpus', '--c', '2', '--o'],
+     1, '{"error": "argument --out: expected one argument"}\n', ''),
+    (['is-line', '--f', 'z^2', '--g', 'z^3', '-hx'],
+     1, '', "error: argument -h/--help: ignored explicit argument 'x'\n"),
+    (['is-line', '--f', '--', '--g', 'z', '--json'],
+     1, '{"error": "--f needs a value, got --"}\n', ''),
+    (['gen-corpus', '--count', '1', '--ou=--'],
+     1, '{"error": "--ou needs a value, got --"}\n', ''),
+    (['represent', '--degree', 'abc', '--degree', '3', '--f', 'z^2', '--g', 'z^3', '--json'],
+     1, '{"error": "argument --degree: invalid int value: \'abc\'"}\n', ''),
+    (['represent', '--degree', '4', '--f', '-2*z', '--g', '-'],
+     1, '', 'error: unexpected token at position 1 (expected number, variable, (, -)\n'),
+    (['is-line', '--u', '-z', '--f', 'z^2', '--g', 'z^3'],
+     1, '', 'error: unrecognized arguments: --u=-z\n'),
+    (['gen-corpus', '--c', '1', '--ou', '--', 'x'],
+     1, '{"error": "argument --out: expected one argument"}\n', ''),
+    (['represent', '--d', '--', '7', '--f', 'z^2', '--g', 'z^3'],
+     1, '', 'error: argument --degree: expected one argument\n'),
+    (['gen-corpus', '--c', '-3'],
+     1, '{"error": "--count must be nonnegative, got -3"}\n', ''),
+    (['represent', '--d', '-3', '--f', 'z^2', '--g', 'z^3', '--json'],
+     1, '{"error": "represented degree must be a nonnegative integer"}\n', ''),
+]
+
+
+class TestUsageEdges:
+    @pytest.mark.parametrize("argv, status, out, err", USAGE_EDGES)
+    def test_status_and_output(self, capsys, argv, status, out, err):
+        assert run_cli(capsys, *argv) == (status, out, err)
+
+    @pytest.mark.parametrize("name", list(_COMMANDS))
+    def test_help_lists_every_flag(self, capsys, name):
+        status, out, err = run_cli(capsys, name, "-h")
+        assert (status, err) == (0, "")
+        assert out.startswith(f"usage: amoh {name} [-h]")
+        assert all(f"  {flag} " in out for flag in _COMMANDS[name][3])
+        # help comes before the errors of the options after it
+        for flag in ("--help", "--he", "-hh"):
+            assert run_cli(capsys, name, flag, "--bogus") == (0, out, "")
+
+
+# any code point, lone surrogates among them, and the characters JSON
+# escapes most often
+JSON_TEXT = st.text(
+    st.sampled_from('"\\\x00\x08\x1f\x7f\x80\u2028\ud800\udcff\U0001f600')
+    | st.integers(0, 0x10FFFF).map(chr),
+    max_size=8,
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300)
+    @given(JSON_VALUES)
+    def test_writes_what_json_dumps_writes(self, obj):
+        assert _dumps(obj) == json.dumps(obj)
 
     @pytest.mark.parametrize(
-        "argv",
-        [
-            ["is-line", "--f", "z", "--g", "z^2"],
-            ["gen-corpus", "--count", "1"],
-            ["sagbi", "--f", "z"],
-        ],
+        "obj", [Fraction(1, 2), Z, [1, {"a": Fraction(1)}], {"a": Z}, {1: 2}, 1.5]
     )
-    def test_one_parser_per_call(self, capsys, monkeypatch, argv):
-        built = []
-        init = argparse.ArgumentParser.__init__
+    def test_other_types_are_a_type_error(self, obj):
+        with pytest.raises(TypeError):
+            _dumps(obj)
 
-        def counting_init(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        main(argv)
-        assert built == [f"amoh {argv[0]}"]
+    def test_lone_surrogate_from_stdin(self, capsys, monkeypatch):
+        # an undecodable byte that stdin's surrogateescape keeps as a lone
+        # surrogate reaches the JSON answer as the query
+        raw = io.BytesIO(b"z^2\n\xffz\n")
+        stdin = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        status, out, err = run_cli(
+            capsys, "member", "--u", "-", "--f", "z^2", "--g", "z^3", "--json"
+        )
+        assert (status, err) == (1, "")
+        first, second = out.splitlines()
+        assert json.loads(first)["member"] is True
+        answer = json.loads(second)
+        assert answer["u"] == "\udcffz" and "unexpected character" in answer["error"]
+        assert second == json.dumps(answer)
 
 
 class TestImportCost:
@@ -680,8 +832,8 @@ class TestImportCost:
         assert "inspect" not in added
 
     def test_import_amoh_loads_no_cli_machinery(self):
-        # argparse (with gettext) and json load only when a command runs;
-        # compared with the modules loaded before, as above
+        # neither import amoh nor a command run loads argparse (with gettext
+        # and locale) or json; compared with the modules loaded before, as above
         code = "\n".join([
             "import sys",
             "before = set(sys.modules)",
@@ -704,7 +856,7 @@ class TestImportCost:
             '{"member": true, "certificate": [{"i": 1, "j": 1, "coeff": "1"}, '
             '{"i": 3, "j": 0, "coeff": "-1"}]}'
         )
-        assert loaded_after == "True True"
+        assert loaded_after == "False False"
 
 
 class TestEnvironmentCap:

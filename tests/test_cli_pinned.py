@@ -4,8 +4,7 @@ A sha256 over (argv, stdin, exit status, stdout) of every invocation below,
 run in process: each subcommand in text and JSON on a set of curves and
 plane maps, parse and domain errors, batch `member --u -` and
 `gen-corpus`.  Any change in what the CLI prints or how it exits shows up
-in the digest.  argparse help and usage text are left out, since they
-differ between Python versions.
+in the digest.  Help text is left out; usage errors are in.
 """
 
 import contextlib
